@@ -39,6 +39,7 @@ from .structures import (
     quotient,
     rendezvous_value,
     validate,
+    value_table,
 )
 from .ultramean import Charge, MeanStructure, charge, fubini, powermean, ultramean
 from .satisfiability import (

@@ -4,7 +4,8 @@ Subcommands: validate, eval, mean, sat, separate, types, qe, check-proof,
 rendezvous.  Outputs are deterministic; numerics print as exact rationals
 (add --decimal for an approximate rendering where supported).  Exit codes:
 0 success, 1 semantic failure (unsat / invalid / not separable / violations),
-2 input error.  Input errors print a JSON error object on stderr.
+2 input error, 3 internal error.  Input and internal errors print a JSON
+error object on stderr.
 """
 
 from __future__ import annotations
@@ -549,6 +550,19 @@ def main(argv: list[str] | None = None) -> int:
             dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         )
         return 2
+    except Exception as exc:  # a bug, never a verdict: report it without a traceback
+        sys.stderr.write(
+            dump_json(
+                {
+                    "error": {
+                        "type": "internal",
+                        "exception": type(exc).__name__,
+                        "message": str(exc),
+                    }
+                }
+            )
+        )
+        return 3
     if args.manifest:
         dump_json(run.manifest(), args.manifest)
     return code

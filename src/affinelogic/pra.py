@@ -18,13 +18,14 @@ inf_y phi = -sup_y(-phi).  A brute-force oracle over small finite algebras
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import NotAffineError, SignatureError, ValidationError
-from .structures import FiniteStructure, make_structure
+from .structures import FiniteStructure, eval_formula, make_structure
 from .syntax import (
     App,
     Const,
@@ -394,10 +395,16 @@ class FiniteAlgebra:
     def events(self) -> range:
         return range(1 << self.atom_count)
 
+    @functools.cached_property
+    def measures(self) -> tuple[Fraction, ...]:
+        """The measure of every event, indexed by its bitmask."""
+        out = [Fraction(0)]
+        for w in self.weights:
+            out += [m + w for m in out]
+        return tuple(out)
+
     def measure(self, event: int) -> Fraction:
-        return sum(
-            (w for i, w in enumerate(self.weights) if event >> i & 1), Fraction(0)
-        )
+        return self.measures[event & self.full]
 
 
 def algebra(weights: Sequence[Fraction | int | str]) -> FiniteAlgebra:
@@ -428,36 +435,18 @@ def algebras_up_to(kmax: int, step_denominator: int = 4) -> list[FiniteAlgebra]:
     return out
 
 
-def _term_event(t: Term, alg: FiniteAlgebra, asg: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        try:
-            return asg[t.name]
-        except KeyError:
-            raise ValidationError(f"no event assigned to variable {t.name}") from None
-    if isinstance(t, Const):
-        if t.name == "zero":
-            return 0
-        if t.name == "one":
-            return alg.full
-        raise SignatureError(f"unknown constant {t.name}")
-    args = [_term_event(a, alg, asg) for a in t.args]
-    if t.func == "and":
-        return args[0] & args[1]
-    if t.func == "or":
-        return args[0] | args[1]
-    if t.func == "sym":
-        return args[0] ^ args[1]
-    if t.func == "not":
-        return alg.full & ~args[0]
-    raise SignatureError(f"unknown function {t.func}")
-
-
 def oracle_eval(
     phi: Formula | PraFormula, alg: FiniteAlgebra, asg: Mapping[str, int] | None = None
 ) -> Fraction:
-    """Brute-force value on a finite algebra; quantifiers range over all events."""
+    """Brute-force value on a finite algebra; quantifiers range over all events.
+
+    A Formula is evaluated in the algebra's structure view (one structure per
+    algebra, kept for later calls); a PraFormula is summed atom by atom.
+    Neither path shares code with quantifier elimination.
+    """
     scope = dict(asg or {})
     if isinstance(phi, PraFormula):
+        measures = alg.measures
         total = phi.constant
         for coeff, event in phi.atoms:
             mask = 0
@@ -469,41 +458,13 @@ def oracle_eval(
                         raise ValidationError(f"no event assigned to variable {v}")
                     piece &= ev if m >> i & 1 else alg.full & ~ev
                 mask |= piece
-            total += coeff * alg.measure(mask)
+            total += coeff * measures[mask]
         return total
-
-    def go(f: Formula) -> Fraction:
-        if isinstance(f, One):
-            return Fraction(1)
-        if isinstance(f, Rel):
-            if f.rel != "mu":
-                raise SignatureError(f"relation {f.rel} is not part of the PrA language")
-            return alg.measure(_term_event(f.args[0], alg, scope))
-        if isinstance(f, Dist):
-            return alg.measure(
-                _term_event(f.left, alg, scope) ^ _term_event(f.right, alg, scope)
-            )
-        if isinstance(f, Sum):
-            return go(f.left) + go(f.right)
-        if isinstance(f, Scale):
-            return f.coeff * go(f.body)
-        if isinstance(f, (Sup, Inf)):
-            pick = max if isinstance(f, Sup) else min
-            saved = scope.get(f.varname)
-            best: Fraction | None = None
-            for event in alg.events():
-                scope[f.varname] = event
-                val = go(f.body)
-                best = val if best is None else pick(best, val)
-            if saved is None:
-                del scope[f.varname]
-            else:
-                scope[f.varname] = saved
-            assert best is not None
-            return best
+    if not phi.affine:
         raise NotAffineError("min/max are not part of the affine PrA fragment")
-
-    return go(phi)
+    k = alg.atom_count
+    names = {v: "e" + format(ev, f"0{k}b") for v, ev in scope.items()}
+    return eval_formula(_algebra_structure(alg), phi, names)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +520,11 @@ def structure_from_algebra(alg: FiniteAlgebra) -> FiniteStructure:
     metric is mu of the symmetric difference, and all tables are total.
     """
     k = alg.atom_count
+    measures = alg.measures
     names = {event: "e" + format(event, f"0{k}b") for event in alg.events()}
     points = [names[e] for e in alg.events()]
     metric = {
-        (names[a], names[b]): alg.measure(a ^ b)
+        (names[a], names[b]): measures[a ^ b]
         for a in alg.events()
         for b in alg.events()
         if a < b
@@ -573,9 +535,13 @@ def structure_from_algebra(alg: FiniteAlgebra) -> FiniteStructure:
         "sym": {(names[a], names[b]): names[a ^ b] for a in alg.events() for b in alg.events()},
         "not": {(names[a],): names[alg.full & ~a] for a in alg.events()},
     }
-    relations = {"mu": {(names[a],): alg.measure(a) for a in alg.events()}}
+    relations = {"mu": {(names[a],): measures[a] for a in alg.events()}}
     constants = {"zero": names[0], "one": names[alg.full]}
     return make_structure(points, metric, constants, functions, relations)
+
+
+# The oracle evaluates in one structure per algebra; it never mutates it.
+_algebra_structure = functools.lru_cache(maxsize=64)(structure_from_algebra)
 
 
 def event_of_point(name: str) -> int:

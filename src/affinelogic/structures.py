@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -53,6 +54,9 @@ class FiniteStructure:
     relations: dict[str, dict[tuple[str, ...], Fraction]]
     metric_power: int = 1
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _views: dict[int, "IntView"] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         self._index = {p: i for i, p in enumerate(self.points)}
@@ -60,6 +64,14 @@ class FiniteStructure:
             raise ValidationError("duplicate point ids")
         if not self.points:
             raise ValidationError("empty universe")
+
+    def int_view(self, p: int) -> "IntView":
+        """The integer tables the evaluator reads at exponent p, built on first
+        use and kept: a structure is not changed after construction."""
+        view = self._views.get(p)
+        if view is None:
+            view = self._views[p] = _build_int_view(self, p)
+        return view
 
     def d(self, a: str, b: str) -> Fraction:
         """Stored metric entry (a p-th power when metric_power > 1)."""
@@ -259,11 +271,7 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                 v.append(Violation("asymmetric-metric", f"d({pts[i]},{pts[j]})"))
 
     # triangle inequality on a common integer denominator for speed
-    den = 1
-    for row in m.metric:
-        for e in row:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-    imat = [[int(e * den) for e in row] for row in m.metric]
+    imat, den = _integer_metric(m)
     if p == 1 or m.metric_power == 1:
         for i in range(n):
             ri = imat[i]
@@ -312,7 +320,7 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                 v.append(Violation("table-gap", f"{sym.name}{args}"))
             elif tab[args] not in m._index:
                 v.append(Violation("value-not-a-point", f"{sym.name}{args}"))
-        if any(args not in tab for args in domain):
+        if any(tab.get(args) not in m._index for args in domain):
             continue
         lam = sym.lipschitz
         for xs in domain:
@@ -369,27 +377,281 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# value_table evaluates each subformula once per assignment of its own free
+# variables.  A term's table holds point indices; a formula's table holds
+# integers over one denominator.  A table is a flat row-major list over its
+# dimensions, which are sorted keys: table variables get keys 0..t-1 in the
+# caller's order, and a bound variable gets t plus its binding depth.  So the
+# variable a quantifier binds is always the last dimension of its body, and
+# sup/inf reduce runs of n adjacent cells.
+
+CELL_BUDGET = 1 << 18
+"""Largest quantifier body, in cells, that is built as one table.  A
+quantifier whose body would be larger loops over its variable instead,
+pinning it to each point in turn, which bounds memory on big universes."""
+
+_GAP = -1  # function-table cell with no entry
+_NOT_A_POINT = -2  # function-table cell (or constant) naming no point
 
 
-def term_value(m: FiniteStructure, t: Term, asg: Assignment) -> str:
-    if isinstance(t, Var):
-        try:
-            point = asg[t.name]
-        except KeyError:
-            raise EvalError(f"no assignment for variable {t.name}") from None
-        if point not in m._index:
-            raise EvalError(f"{point!r} (assigned to {t.name}) is not a point")
-        return point
-    if isinstance(t, Const):
-        try:
-            return m.constants[t.name]
-        except KeyError:
-            raise EvalError(f"no interpretation for constant {t.name}") from None
-    vals = tuple(term_value(m, a, asg) for a in t.args)
-    try:
-        return m.functions[t.func][vals]
-    except KeyError:
-        raise EvalError(f"table gap at {t.func}{vals}") from None
+@dataclass(frozen=True)
+class IntView:
+    """A structure's tables as flat lists, for the evaluation kernel.
+
+    Metric entries (d^p at exponent p) and relation values are integers over
+    the common denominator `den`; `metric` is None when the stored metric
+    cannot be read at this exponent.  Relation and function tables are
+    (arity, cells) over itertools.product order; relation gaps are None,
+    function cells and constants are point indices or _GAP/_NOT_A_POINT.
+    """
+
+    den: int
+    metric: list[int] | None
+    relations: dict[str, tuple[int, list[int | None]]]
+    functions: dict[str, tuple[int, list[int]]]
+    constants: dict[str, int]
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with values[i] == ints[i] / den and den the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_metric(m: FiniteStructure) -> tuple[list[list[int]], int]:
+    """The stored metric as integer rows over one denominator."""
+    n = len(m.points)
+    flat, den = _over_common_denominator([e for row in m.metric for e in row])
+    return [flat[i * n : (i + 1) * n] for i in range(n)], den
+
+
+def _build_int_view(m: FiniteStructure, p: int) -> IntView:
+    if p == m.metric_power:
+        metric: list[Fraction] | None = [e for row in m.metric for e in row]
+    elif m.metric_power == 1:
+        metric = [e**p for row in m.metric for e in row]
+    else:
+        metric = None
+
+    def cells(tab: Mapping[tuple[str, ...], object]) -> tuple[int, list]:
+        arity = len(next(iter(tab))) if tab else 0
+        return arity, [tab.get(args) for args in itertools.product(m.points, repeat=arity)]
+
+    rel_cells = {name: cells(tab) for name, tab in m.relations.items()}
+    ints, den = _over_common_denominator(
+        list(metric or ())
+        + [v for _, vals in rel_cells.values() for v in vals if v is not None]
+    )
+    it = iter(ints)
+    index = m._index
+    functions = {}
+    for name, tab in m.functions.items():
+        arity, vals = cells(tab)
+        functions[name] = arity, [_GAP if v is None else index.get(v, _NOT_A_POINT) for v in vals]
+    return IntView(
+        den=den,
+        metric=None if metric is None else [next(it) for _ in metric],
+        relations={
+            name: (arity, [None if v is None else next(it) for v in vals])
+            for name, (arity, vals) in rel_cells.items()
+        },
+        functions=functions,
+        constants={c: index.get(v, _NOT_A_POINT) for c, v in m.constants.items()},
+    )
+
+
+Dims = tuple[int, ...]
+Table = tuple[Dims, list[int], int]  # dimensions, integer cells, denominator
+
+
+def _union(a: Dims, b: Dims) -> Dims:
+    return a if a == b else tuple(sorted(set(a) | set(b)))
+
+
+def _expand(dims: Dims, cells: list, target: Dims, n: int) -> list:
+    """Broadcast a table over `dims` to the superset `target` of dimensions."""
+    if dims == target:
+        return cells
+    run = 1  # length of the runs of cells that vary only in target dims seen so far
+    for k in reversed(target):
+        if k not in dims:
+            if run == 1:
+                blocks = zip(*[cells] * n)  # each cell n times
+            else:
+                blocks = (cells[i : i + run] * n for i in range(0, len(cells), run))
+            cells = list(itertools.chain.from_iterable(blocks))
+        run *= n
+    return cells
+
+
+def _combine(op, a: Table, b: Table, n: int) -> Table:
+    """Elementwise op of two tables on their common denominator and dimensions."""
+    (da, ca, den_a), (db, cb, den_b) = a, b
+    den = math.lcm(den_a, den_b)
+    if den != den_a:
+        ca = [v * (den // den_a) for v in ca]
+    if den != den_b:
+        cb = [v * (den // den_b) for v in cb]
+    dims = _union(da, db)
+    return dims, list(map(op, _expand(da, ca, dims, n), _expand(db, cb, dims, n))), den
+
+
+_COMBINE = {Sum: operator.add, Min: min, Max: max}
+
+
+class _Kernel:
+    """Tables of one structure at one exponent; scopes map variables to term tables."""
+
+    def __init__(self, m: FiniteStructure, p: int):
+        self.m = m
+        self.p = p
+        self.n = len(m.points)
+        self.view = m.int_view(p)
+        self.every_point = list(range(self.n))
+
+    def lookup(self, name: str, args, scope, table) -> tuple[Dims, list, list[list[int]]]:
+        """Cells of `table` at the argument tables, with the argument columns."""
+        n = self.n
+        terms = [self.term(a, scope) for a in args]
+        dims: Dims = ()
+        for d, _ in terms:
+            dims = _union(dims, d)
+        cols = [_expand(d, c, dims, n) for d, c in terms]
+        if table is None or table[0] != len(cols):
+            raise EvalError(f"table gap at {name}{self.points_at(cols, 0)}")
+        flat = cols[0]
+        for col in cols[1:]:
+            flat = [i * n + j for i, j in zip(flat, col)]
+        vals = table[1]
+        return dims, [vals[i] for i in flat], cols
+
+    def points_at(self, cols: list[list[int]], k: int) -> tuple[str, ...]:
+        return tuple(self.m.points[col[k]] for col in cols)
+
+    def term(self, t: Term, scope) -> tuple[Dims, list[int]]:
+        if isinstance(t, Var):
+            return scope[t.name]
+        if isinstance(t, Const):
+            i = self.view.constants.get(t.name)
+            if i is None:
+                raise EvalError(f"no interpretation for constant {t.name}")
+            if i == _NOT_A_POINT:
+                value = self.m.constants[t.name]
+                raise EvalError(f"constant {t.name} names {value!r}, not a point")
+            return (), [i]
+        dims, vals, cols = self.lookup(t.func, t.args, scope, self.view.functions.get(t.func))
+        if min(vals) < 0:
+            k = next(k for k, v in enumerate(vals) if v < 0)
+            args = self.points_at(cols, k)
+            if vals[k] == _GAP:
+                raise EvalError(f"table gap at {t.func}{args}")
+            value = self.m.functions[t.func][args]
+            raise EvalError(f"{t.func}{args} = {value!r} is not a point")
+        return dims, vals
+
+    def formula(self, f: Formula, scope, key: int) -> Table:
+        """The table of f; `key` is the dimension key of the next binder."""
+        if isinstance(f, One):
+            return (), [1], 1
+        if isinstance(f, Dist):
+            if self.view.metric is None:
+                raise EvalError(
+                    f"structure stores {self.m.metric_power}-th powers; "
+                    f"cannot evaluate at exponent {self.p}"
+                )
+            metric = 2, self.view.metric
+            dims, vals, _ = self.lookup("d", (f.left, f.right), scope, metric)
+            return dims, vals, self.view.den
+        if isinstance(f, Rel):
+            dims, vals, cols = self.lookup(f.rel, f.args, scope, self.view.relations.get(f.rel))
+            if None in vals:
+                raise EvalError(f"table gap at {f.rel}{self.points_at(cols, vals.index(None))}")
+            return dims, vals, self.view.den
+        if isinstance(f, Scale):
+            dims, cells, den = self.formula(f.body, scope, key)
+            num = f.coeff.numerator
+            if num != 1:
+                cells = [v * num for v in cells]
+            return dims, cells, den * f.coeff.denominator
+        if isinstance(f, (Sum, Min, Max)):
+            left = self.formula(f.left, scope, key)
+            return _combine(_COMBINE[type(f)], left, self.formula(f.right, scope, key), self.n)
+        if isinstance(f, (Sup, Inf)):
+            return self.quantifier(f, scope, key)
+        raise TypeError(f)
+
+    def quantifier(self, f: Sup | Inf, scope, key: int) -> Table:
+        pick = max if isinstance(f, Sup) else min
+        x, n = f.varname, self.n
+        free = f.body.free
+        if x not in free:  # the universe is nonempty
+            return self.formula(f.body, scope, key)
+        outer = {k for v in free if v != x for k in scope[v][0]}
+        inner = dict(scope)
+        if n ** (len(outer) + 1) <= CELL_BUDGET:
+            inner[x] = (key,), self.every_point
+            dims, cells, den = self.formula(f.body, inner, key + 1)
+            if dims and dims[-1] == key:
+                cells = list(map(pick, zip(*[iter(cells)] * n)))
+                dims = dims[:-1]
+            return dims, cells, den
+        best: Table | None = None
+        for i in range(n):
+            inner[x] = (), [i]
+            part = self.formula(f.body, inner, key)
+            best = part if best is None else _combine(pick, best, part, n)
+        assert best is not None
+        return best
+
+
+def _value_ints(
+    m: FiniteStructure,
+    phi: Formula,
+    variables: Sequence[str],
+    p: int,
+    asg: Assignment | None,
+) -> tuple[list[int], int]:
+    """Cells and denominator of value_table."""
+    if not (isinstance(p, int) and p >= 1):
+        raise EvalError(f"exponent must be a positive integer, got {p!r}")
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise EvalError(f"repeated table variables {list(variables)}")
+    asg = asg or {}
+    pinned = phi.free - set(variables)
+    missing = pinned - asg.keys()
+    if missing:
+        raise EvalError(f"assignment is missing variables {sorted(missing)}")
+    kernel = _Kernel(m, p)
+    scope: dict[str, tuple[Dims, list[int]]] = {}
+    for v in pinned:
+        i = m._index.get(asg[v])
+        if i is None:
+            raise EvalError(f"{asg[v]!r} (assigned to {v}) is not a point")
+        scope[v] = (), [i]
+    for k, v in enumerate(variables):
+        scope[v] = (k,), kernel.every_point
+    dims, cells, den = kernel.formula(phi, scope, len(variables))
+    return _expand(dims, cells, tuple(range(len(variables))), kernel.n), den
+
+
+def value_table(
+    m: FiniteStructure,
+    phi: Formula,
+    variables: Sequence[str],
+    p: int = 1,
+    asg: Assignment | None = None,
+) -> list[Fraction]:
+    """Exact values of phi for every assignment of `variables`.
+
+    Values come in itertools.product(m.points, repeat=len(variables)) order.
+    Free variables of phi outside `variables` take their points from `asg`.
+    Distance atoms evaluate to d^p; quantifiers are exhaustive over the
+    finite universe, so every value is the true sup/inf.
+    """
+    cells, den = _value_ints(m, phi, variables, p, asg)
+    return [Fraction(v, den) for v in cells]
 
 
 def eval_formula(
@@ -403,50 +665,8 @@ def eval_formula(
     Distance atoms evaluate to d^p; quantifiers are exhaustive over the finite
     universe, so the result is the true sup/inf.
     """
-    if not (isinstance(p, int) and p >= 1):
-        raise EvalError(f"exponent must be a positive integer, got {p!r}")
-    scope: dict[str, str] = dict(asg or {})
-    missing = phi.free - scope.keys()
-    if missing:
-        raise EvalError(f"assignment is missing variables {sorted(missing)}")
-
-    def go(f: Formula) -> Fraction:
-        if isinstance(f, One):
-            return Fraction(1)
-        if isinstance(f, Dist):
-            return m.dist_power(term_value(m, f.left, scope), term_value(m, f.right, scope), p)
-        if isinstance(f, Rel):
-            vals = tuple(term_value(m, a, scope) for a in f.args)
-            try:
-                return m.relations[f.rel][vals]
-            except KeyError:
-                raise EvalError(f"table gap at {f.rel}{vals}") from None
-        if isinstance(f, Sum):
-            return go(f.left) + go(f.right)
-        if isinstance(f, Scale):
-            return f.coeff * go(f.body)
-        if isinstance(f, Min):
-            return min(go(f.left), go(f.right))
-        if isinstance(f, Max):
-            return max(go(f.left), go(f.right))
-        if isinstance(f, (Sup, Inf)):
-            pick = max if isinstance(f, Sup) else min
-            x = f.varname
-            saved = scope.get(x)
-            best: Fraction | None = None
-            for pt in m.points:
-                scope[x] = pt
-                val = go(f.body)
-                best = val if best is None else pick(best, val)
-            if saved is None:
-                del scope[x]
-            else:
-                scope[x] = saved
-            assert best is not None
-            return best
-        raise TypeError(f)
-
-    return go(phi)
+    (value,), den = _value_ints(m, phi, (), p, asg)
+    return Fraction(value, den)
 
 
 def check_condition(
@@ -465,12 +685,9 @@ def holds_universally(m: FiniteStructure, cond: Condition, p: int = 1) -> tuple[
 
     Returns (holds, worst margin over assignments).
     """
-    free = sorted(cond.free)
-    worst: Fraction | None = None
-    for combo in itertools.product(m.points, repeat=len(free)):
-        _, margin = check_condition(m, cond, dict(zip(free, combo)), p)
-        worst = margin if worst is None else min(worst, margin)
-    assert worst is not None
+    margin = Sum(cond.rhs, Scale(Fraction(-1), cond.lhs))
+    cells, den = _value_ints(m, margin, sorted(cond.free), p, None)
+    worst = Fraction(min(cells), den)
     return worst >= 0, worst
 
 
@@ -555,19 +772,23 @@ def rendezvous_value(m: FiniteStructure, n: int) -> tuple[Fraction, Fraction]:
         raise EvalError("n must be >= 1")
     if m.metric_power != 1:
         raise EvalError("rendezvous values need an exponent-1 metric")
-    den = 1
-    for row in m.metric:
-        for e in row:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-    imat = [[int(e * den) for e in row] for row in m.metric]
-    npts = len(m.points)
+    imat, den = _integer_metric(m)
     lower_best = None
     upper_best = None
-    for combo in itertools.combinations_with_replacement(range(npts), n):
-        rows = [imat[i] for i in combo]
-        sums = [sum(r[y] for r in rows) for y in range(npts)]
-        lo = min(sums)
-        hi = max(sums)
+    # sums[k] is the row sum over combo[:k+1]; consecutive combinations share
+    # a prefix, so only the rows after it are added again
+    sums: list[list[int]] = [imat[0]] * n
+    prev: tuple[int, ...] = ()
+    for combo in itertools.combinations_with_replacement(range(len(m.points)), n):
+        k = 0
+        while k < len(prev) and combo[k] == prev[k]:
+            k += 1
+        for j in range(k, n):
+            row = imat[combo[j]]
+            sums[j] = row if j == 0 else list(map(operator.add, sums[j - 1], row))
+        prev = combo
+        lo = min(sums[-1])
+        hi = max(sums[-1])
         lower_best = lo if lower_best is None else max(lower_best, lo)
         upper_best = hi if upper_best is None else min(upper_best, hi)
     assert lower_best is not None and upper_best is not None

@@ -14,13 +14,15 @@ carry a bound and their free variables.  The derivation rules are:
 min/max nodes (the lattice connectives) are supported for evaluation but mark
 a formula non-affine; affine-only operations reject such formulas.
 
-All scalars are exact rationals.  Values are immutable after construction.
+All scalars are exact rationals.  Values are immutable after construction, so
+`free` and `affine` are computed once per node and kept.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -142,7 +144,7 @@ class Var:
     name: str
     lipschitz: Fraction = Fraction(1)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return frozenset({self.name})
 
@@ -155,7 +157,7 @@ class Const:
     name: str
     lipschitz: Fraction = Fraction(0)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return frozenset()
 
@@ -175,7 +177,7 @@ class App:
             self, "lipschitz", self.func_lipschitz * sum((a.lipschitz for a in self.args), Fraction(0))
         )
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return frozenset().union(*(a.free for a in self.args))
 
@@ -229,7 +231,7 @@ class Dist:
     def __post_init__(self):
         object.__setattr__(self, "lipschitz", self.left.lipschitz + self.right.lipschitz)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.left.free | self.right.free
 
@@ -248,7 +250,7 @@ class Rel:
             self, "lipschitz", self.rel_lipschitz * sum((a.lipschitz for a in self.args), Fraction(0))
         )
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return frozenset().union(*(a.free for a in self.args))
 
@@ -264,11 +266,11 @@ class Sum:
         object.__setattr__(self, "lipschitz", self.left.lipschitz + self.right.lipschitz)
         object.__setattr__(self, "bound", self.left.bound + self.right.bound)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.left.free | self.right.free
 
-    @property
+    @cached_property
     def affine(self) -> bool:
         return self.left.affine and self.right.affine
 
@@ -284,11 +286,11 @@ class Scale:
         object.__setattr__(self, "lipschitz", abs(self.coeff) * self.body.lipschitz)
         object.__setattr__(self, "bound", abs(self.coeff) * self.body.bound)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.body.free
 
-    @property
+    @cached_property
     def affine(self) -> bool:
         return self.body.affine
 
@@ -306,11 +308,11 @@ class Sup:
     def bound(self) -> Fraction:
         return self.body.bound
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.body.free - {self.varname}
 
-    @property
+    @cached_property
     def affine(self) -> bool:
         return self.body.affine
 
@@ -328,11 +330,11 @@ class Inf:
     def bound(self) -> Fraction:
         return self.body.bound
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.body.free - {self.varname}
 
-    @property
+    @cached_property
     def affine(self) -> bool:
         return self.body.affine
 
@@ -351,7 +353,7 @@ class Min:
     def bound(self) -> Fraction:
         return max(self.left.bound, self.right.bound)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.left.free | self.right.free
 
@@ -370,7 +372,7 @@ class Max:
     def bound(self) -> Fraction:
         return max(self.left.bound, self.right.bound)
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.left.free | self.right.free
 
@@ -456,7 +458,7 @@ class Condition:
     lhs: Formula
     rhs: Formula
 
-    @property
+    @cached_property
     def free(self) -> frozenset[str]:
         return self.lhs.free | self.rhs.free
 

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 from .errors import EvalError, ValidationError
 from .lp import INFEASIBLE, lp_feasible
-from .structures import FiniteStructure, eval_formula
+from .structures import FiniteStructure, eval_formula, value_table
 from .syntax import Formula
 
 
@@ -61,14 +61,10 @@ def make_basis(
     for phi in formulas:
         require_affine(phi, "type bases")
     variables = tuple(variables)
-    norms = []
-    for phi in formulas:
-        worst = Fraction(0)
-        for m in family:
-            for tup in itertools.product(m.points, repeat=len(variables)):
-                v = eval_formula(m, phi, dict(zip(variables, tup)), p)
-                worst = max(worst, abs(v))
-        norms.append(worst)
+    norms = [
+        max(abs(v) for m in family for v in value_table(m, phi, variables, p))
+        for phi in formulas
+    ]
     return FormulaBasis(variables, tuple(formulas), tuple(norms))
 
 
@@ -110,14 +106,22 @@ def realized_types(
     The witness kept for a duplicated vector is the first realizing tuple in
     lexicographic point order.
     """
-    seen: dict[tuple[Fraction, ...], TypeVector] = {}
+    seen: set[tuple[Fraction, ...]] = set()
     out: list[TypeVector] = []
-    for tup in itertools.product(m.points, repeat=len(basis.variables)):
-        tv = tuple_type(m, basis, tup, p, structure_index)
-        if tv.values not in seen:
-            seen[tv.values] = tv
-            out.append(tv)
+    for tup, values in _typed_tuples(m, basis, p):
+        if values not in seen:
+            seen.add(values)
+            out.append(TypeVector(values, ("realized", structure_index, tup)))
     return out
+
+
+def _typed_tuples(
+    m: FiniteStructure, basis: FormulaBasis, p: int
+) -> list[tuple[tuple[str, ...], tuple[Fraction, ...]]]:
+    """Every tuple of M in lexicographic point order with its type vector."""
+    columns = [value_table(m, phi, basis.variables, p) for phi in basis.formulas]
+    tuples = itertools.product(m.points, repeat=len(basis.variables))
+    return list(zip(tuples, zip(*columns)))
 
 
 def convex_combination(parts: Sequence[tuple[TypeVector, Fraction]]) -> TypeVector:
@@ -194,16 +198,9 @@ def logic_distance(
     p: int = 1,
 ) -> Fraction:
     """min d(a, b) over tuples a realizing p and b realizing q in M (sum metric)."""
-    realize_p = [
-        tup
-        for tup in itertools.product(m.points, repeat=len(basis.variables))
-        if tuple_type(m, basis, tup, p).values == p_type.values
-    ]
-    realize_q = [
-        tup
-        for tup in itertools.product(m.points, repeat=len(basis.variables))
-        if tuple_type(m, basis, tup, p).values == q_type.values
-    ]
+    typed = _typed_tuples(m, basis, p)
+    realize_p = [tup for tup, values in typed if values == p_type.values]
+    realize_q = [tup for tup, values in typed if values == q_type.values]
     if not realize_p or not realize_q:
         raise EvalError("both types must be realized in the given structure")
     return min(

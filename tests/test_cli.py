@@ -14,7 +14,7 @@ from affinelogic.serialize import (
 )
 from affinelogic.spaces import two_point
 from affinelogic.structures import make_structure
-from affinelogic.syntax import relation_symbol, Signature
+from affinelogic.syntax import function_symbol, relation_symbol, Signature
 from affinelogic.ultramean import charge, uniform_charge
 
 from proof_helpers import zero_scalar_derivation
@@ -333,3 +333,27 @@ class TestValidateCommand:
         doc = json.loads(r.stdout)
         assert doc["valid"] is False
         assert doc["violations"][0]["kind"] == "triangle-violation"
+
+    def test_function_value_not_a_point_is_reported(self, tmp_path):
+        sig = Signature([function_symbol("F", 1, 1)])
+        m = make_structure(
+            ["a", "b"], {("a", "b"): 1}, functions={"F": {("a",): "a", ("b",): "nowhere"}}
+        )
+        dump_json(structure_to_doc(m, sig), tmp_path / "bad.json")
+        r = run("validate", str(tmp_path / "bad.json"))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        doc = json.loads(r.stdout)
+        assert [v["kind"] for v in doc["violations"]] == ["value-not-a-point"]
+
+
+class TestInternalError:
+    def test_deep_formula_exits_3_with_json_error(self, workdir):
+        formula = " + ".join(["d(x,y)"] * 1000)
+        r = run("eval", str(workdir / "two_point.json"), formula,
+                "--assign", "x=a", "--assign", "y=b")
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stderr)["error"]
+        assert err["type"] == "internal"
+        assert err["exception"] == "RecursionError"
