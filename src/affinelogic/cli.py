@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -374,9 +374,9 @@ def _cmd_qe(args, run: _Run) -> int:
     free = sorted(phi.free)
     checked = 0
     for alg in algebras:
-        for combo in _event_assignments(alg, len(free)):
-            asg = dict(zip(free, combo))
-            if pra.oracle_eval(phi, alg, asg) != pra.oracle_eval(result, alg, asg):
+        combos = itertools.product(alg.events(), repeat=len(free))
+        for combo, value in zip(combos, pra.oracle_table(phi, alg, free)):
+            if value != pra.oracle_eval(result, alg, dict(zip(free, combo))):
                 doc["oracle"] = {"verified": False, "algebra": [fraction_str(w) for w in alg.weights]}
                 _emit(doc)
                 return 1
@@ -388,12 +388,6 @@ def _cmd_qe(args, run: _Run) -> int:
     }
     _emit(doc)
     return 0
-
-
-def _event_assignments(alg, nvars: int):
-    import itertools
-
-    return itertools.product(alg.events(), repeat=nvars)
 
 
 def _cmd_check_proof(args, run: _Run) -> int:
@@ -458,22 +452,24 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--manifest", help="write a run manifest (inputs/outputs hashed) to this path")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, **kwargs):
-        p = sub.add_parser(name, help=help_, **kwargs)
-        p.add_argument("--sig", help="signature JSON file")
-        p.add_argument("--p", type=int, default=1, help="evaluation exponent (default 1)")
+    def add(name: str, help_: str, *reads: str):
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)  # --p is no --probe
+        if "--sig" in reads:
+            p.add_argument("--sig", help="signature JSON file")
+        if "--p" in reads:
+            p.add_argument("--p", type=int, default=1, help="evaluation exponent (default 1)")
         return p
 
-    p = add("validate", "check structure invariants against a signature")
+    p = add("validate", "check structure invariants against a signature", "--sig", "--p")
     p.add_argument("structure")
 
-    p = add("eval", "evaluate a formula in a structure")
+    p = add("eval", "evaluate a formula in a structure", "--sig", "--p")
     p.add_argument("structure")
     p.add_argument("formula")
     p.add_argument("--assign", action="append", metavar="VAR=POINT")
     p.add_argument("--decimal", action="store_true", help="append a decimal rendering")
 
-    p = add("mean", "build the mean of structures under a charge")
+    p = add("mean", "build the mean of structures under a charge", "--sig", "--p")
     p.add_argument("charge")
     p.add_argument("structures", nargs="+")
     p.add_argument("--out", help="write the mean structure file here")
@@ -483,17 +479,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify value(mean) = weighted sum of member values for this sentence",
     )
 
-    p = add("sat", "decide affine satisfiability of a theory over a family")
+    p = add("sat", "decide affine satisfiability of a theory over a family", "--sig", "--p")
     p.add_argument("theory")
     p.add_argument("structures", nargs="+")
     p.add_argument("--target", help="condition: report its consequence margin instead")
 
-    p = add("separate", "find a basic condition separating two families")
+    p = add("separate", "find a basic condition separating two families", "--sig", "--p")
     p.add_argument("family_a", help="directory of structure JSON files")
     p.add_argument("family_b", help="directory of structure JSON files")
     p.add_argument("basis", help="basis JSON file of sentences")
 
-    p = add("types", "realized-type polytope over a formula basis")
+    p = add("types", "realized-type polytope over a formula basis", "--sig", "--p")
     p.add_argument("basis")
     p.add_argument("structures", nargs="+")
     p.add_argument(
@@ -513,12 +509,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify against the exhaustive oracle on algebras with up to KMAX atoms",
     )
 
-    p = add("check-proof", "validate a proof tree against a theory")
+    p = add("check-proof", "validate a proof tree against a theory", "--sig")
     p.add_argument("proof")
     p.add_argument("theory")
     p.add_argument("--probe", metavar="DIR", help="soundness-probe on structures in DIR")
 
-    p = add("rendezvous", "n-point rendez-vous bracket of a structure")
+    p = add("rendezvous", "n-point rendez-vous bracket of a structure", "--sig")
     p.add_argument("structure")
     p.add_argument("--n", type=int, required=True)
 

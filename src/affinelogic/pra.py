@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import NotAffineError, SignatureError, ValidationError
-from .structures import FiniteStructure, eval_formula, make_structure
+from .structures import FiniteStructure, eval_formula, make_structure, value_table
 from .syntax import (
     App,
     Const,
@@ -467,8 +467,20 @@ def oracle_eval(
     return eval_formula(_algebra_structure(alg), phi, names)
 
 
+def oracle_table(phi: Formula, alg: FiniteAlgebra, variables: Sequence[str]) -> list[Fraction]:
+    """oracle_eval of a Formula at every assignment of events to `variables`.
+
+    Values come in itertools.product(alg.events(), repeat=len(variables))
+    order: one value_table call on the algebra's structure view, whose point
+    i is event i.
+    """
+    if not phi.affine:
+        raise NotAffineError("min/max are not part of the affine PrA fragment")
+    return value_table(_algebra_structure(alg), phi, variables)
+
+
 # ---------------------------------------------------------------------------
-# Formatting and conversion back to the shared formula syntax
+# Formatting and the structure view of an algebra
 
 
 def format_event(event: EventTerm) -> str:
@@ -506,13 +518,6 @@ def format_pra(phi: PraFormula) -> str:
     return " + ".join(parts)
 
 
-def pra_as_formula(phi: PraFormula, sig: Signature | None = None) -> Formula:
-    """PraFormula back to a shared-syntax Formula (via its printed form)."""
-    from .syntax import parse_formula
-
-    return parse_formula(format_pra(phi), sig or pra_signature())
-
-
 def structure_from_algebra(alg: FiniteAlgebra) -> FiniteStructure:
     """The algebra as a finite metric structure over the PrA signature.
 
@@ -543,7 +548,3 @@ def structure_from_algebra(alg: FiniteAlgebra) -> FiniteStructure:
 # The oracle evaluates in one structure per algebra; it never mutates it.
 _algebra_structure = functools.lru_cache(maxsize=64)(structure_from_algebra)
 
-
-def event_of_point(name: str) -> int:
-    """Invert the e<bits> naming used by structure_from_algebra."""
-    return int(name[1:], 2)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import UnsatisfiableError, ValidationError
+from .errors import AffineLogicError, UnsatisfiableError, ValidationError
 from .lp import OPTIMAL, solve_lp
 from .structures import FiniteStructure, check_condition, eval_formula
 from .syntax import Condition, Formula, Theory, require_affine
-from .ultramean import Charge, MeanStructure, ultramean
+from .ultramean import Charge, ultramean
 
 
 def _require_affine_conditions(conds, what: str) -> None:
@@ -58,7 +58,6 @@ def value_matrix(
 @dataclass
 class Sat:
     charge: Charge
-    mean: MeanStructure | None = None
 
 
 @dataclass
@@ -78,9 +77,12 @@ def sat_over_family(
 ) -> SatVerdict:
     """Decide affine satisfiability of a closed theory over a family.
 
-    With verify=True a Sat verdict is re-checked by building the mean under
-    the returned charge and evaluating every condition there (margins must
-    all be >= 0), and an Unsat certificate is re-evaluated in every member.
+    With verify=True a Sat verdict is re-checked by building the mean of the
+    members the returned charge weights and evaluating every condition there
+    (margins must all be >= 0), and an Unsat certificate is re-evaluated in
+    every member.  Members of weight 0 would only add tuples at distance 0
+    from others, which the mean identifies, so leaving them out changes no
+    value; a vertex of the simplex weights at most len(theory) + 1 members.
     """
     if not family:
         raise ValidationError("empty family")
@@ -91,14 +93,7 @@ def sat_over_family(
         w = {ids[0]: Fraction(1), **{i: Fraction(0) for i in ids[1:]}}
         return Sat(Charge(tuple(ids), w))
 
-    # g[j][i] = (lhs_j - rhs_j)^{M_i}; satisfaction of condition j means <= 0.
-    g = [
-        [
-            eval_formula(m, c.lhs, None, p) - eval_formula(m, c.rhs, None, p)
-            for m in family
-        ]
-        for c in conds
-    ]
+    g = _excess_matrix(conds, family, p)
 
     # Variables (w_1..w_n, t+, t-): minimize t = t+ - t- subject to
     # g_j . w <= t for all j and w in the probability simplex.
@@ -116,14 +111,15 @@ def sat_over_family(
         weights = {ids[i]: res.x[i] for i in range(n)}
         verdict = Sat(Charge(tuple(ids), weights))
         if verify:
-            mean = ultramean(list(family), verdict.charge, p=p)
+            support = [i for i in range(n) if res.x[i] != 0]
+            weighted = Charge(tuple(ids[i] for i in support), {ids[i]: res.x[i] for i in support})
+            mean = ultramean([family[i] for i in support], weighted, p=p)
             for j, cond in enumerate(conds):
                 holds, margin = check_condition(mean.structure, cond, None, p)
                 if not holds:
                     raise AssertionError(
                         f"sat verdict failed re-verification: condition {j} margin {margin}"
                     )
-            verdict.mean = mean
         return verdict
 
     delta = res.objective
@@ -139,6 +135,22 @@ def sat_over_family(
                     f"unsat certificate failed re-verification on member {i}"
                 )
     return Unsat(certificate, delta)
+
+
+def _excess_matrix(
+    conds: Sequence[Condition], family: Sequence[FiniteStructure], p: int
+) -> list[list[Fraction]]:
+    """g[j][i] = (lhs_j - rhs_j)^{M_i}; condition j holds in M_i iff it is <= 0."""
+    return [
+        [eval_formula(m, c.lhs, None, p) - eval_formula(m, c.rhs, None, p) for m in family]
+        for c in conds
+    ]
+
+
+def _raise_if_unsat(theory: Theory, family: Sequence[FiniteStructure], p: int) -> None:
+    verdict = sat_over_family(theory, family, p, verify=False)
+    if isinstance(verdict, Unsat):
+        raise UnsatisfiableError("theory is affinely unsatisfiable over this family", verdict)
 
 
 @dataclass
@@ -164,30 +176,28 @@ def consequence_margin(
     The dual multipliers witness the bound through the affine closure: for
     every member,  (rhs - lhs) - sum_j r_j (rhs_j - lhs_j)  >= margin.
     Raises UnsatisfiableError (carrying the certificate) if the theory itself
-    is unsatisfiable over the family.
+    is unsatisfiable over the family.  The margin LP is feasible exactly when
+    the theory is satisfiable over the family, so the certificate is computed
+    only when it is not.
     """
-    verdict = sat_over_family(theory, family, p, verify=False)
-    if isinstance(verdict, Unsat):
-        raise UnsatisfiableError(
-            "theory is affinely unsatisfiable over this family", verdict
-        )
+    if not family:
+        raise ValidationError("empty family")
     conds = list(theory)
-    _require_affine_conditions([target], "consequence margins")
-    if not target.closed:
-        raise ValidationError("target condition must be closed")
-    n = len(family)
-    ids = [f"m{i}" for i in range(n)]
-    g = [
-        [
-            eval_formula(m, c.lhs, None, p) - eval_formula(m, c.rhs, None, p)
+    _require_affine_conditions(conds, "affine satisfiability")
+    try:
+        _require_affine_conditions([target], "consequence margins")
+        if not target.closed:
+            raise ValidationError("target condition must be closed")
+        c_obj = [
+            eval_formula(m, target.rhs, None, p) - eval_formula(m, target.lhs, None, p)
             for m in family
         ]
-        for c in conds
-    ]
-    c_obj = [
-        eval_formula(m, target.rhs, None, p) - eval_formula(m, target.lhs, None, p)
-        for m in family
-    ]
+    except AffineLogicError:
+        _raise_if_unsat(theory, family, p)  # an unsatisfiable theory is reported first
+        raise
+    n = len(family)
+    ids = [f"m{i}" for i in range(n)]
+    g = _excess_matrix(conds, family, p)
     res = solve_lp(
         c_obj,
         A_ub=g or None,
@@ -195,6 +205,8 @@ def consequence_margin(
         A_eq=[[Fraction(1)] * n],
         b_eq=[Fraction(1)],
     )
+    if res.status != OPTIMAL:  # no charge satisfies the theory
+        _raise_if_unsat(theory, family, p)
     assert res.status == OPTIMAL and res.objective is not None and res.x is not None
     coeffs = [-d for d in (res.dual_ub or [])]
     witness = [(j, coeffs[j]) for j in range(len(conds)) if coeffs[j] != 0]

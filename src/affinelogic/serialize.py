@@ -22,7 +22,6 @@ from .syntax import (
     Theory,
     as_fraction,
     format_condition,
-    format_formula,
     format_fraction,
     parse_condition_or_equality,
     parse_formula,
@@ -311,7 +310,3 @@ def load_proof(path: str | Path, sig: Signature) -> ProofNode:
 
 def fraction_str(x: Fraction) -> str:
     return format_fraction(x)
-
-
-def formula_str(phi: Formula) -> str:
-    return format_formula(phi)

@@ -64,11 +64,6 @@ def interval(n: int) -> FiniteStructure:
     return make_structure(names, metric)
 
 
-def three_point_interval() -> FiniteStructure:
-    """The {0, 1/2, 1} subspace of the unit interval."""
-    return interval(3)
-
-
 def circle(n: int, metric: str = "geodesic") -> FiniteStructure:
     """Regular n-gon on the circle, diameter normalized to 1."""
     names = [f"c{i}" for i in range(n)]

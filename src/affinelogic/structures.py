@@ -254,6 +254,10 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
     triangle inequality, entries in [0,1]), totality of tables, Lipschitz
     bounds for functions and relations, relation values in [0,1].  With a
     p-th-power metric the triangle inequality is checked on stored powers.
+
+    Every pair of argument tuples is compared in integers, one way for every
+    p: with lam = num/den, den^p * d(F xs, F ys)^p <= num^p * sum_i
+    d(x_i, y_i)^p, and likewise (R xs - R ys)^p where that is positive.
     """
     p = m.metric_power if p is None else p
     v: list[Violation] = []
@@ -270,9 +274,9 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
             if m.metric[j][i] != e:
                 v.append(Violation("asymmetric-metric", f"d({pts[i]},{pts[j]})"))
 
-    # triangle inequality on a common integer denominator for speed
-    imat, den = _integer_metric(m)
     if p == 1 or m.metric_power == 1:
+        stored = m.int_view(m.metric_power)
+        imat, den = _rows(stored.metric, n), stored.den
         for i in range(n):
             ri = imat[i]
             for j in range(i + 1, n):
@@ -300,8 +304,20 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                             )
                         )
 
-    def tuple_power_dist(xs: tuple[str, ...], ys: tuple[str, ...]) -> Fraction:
-        return sum((m.dist_power(a, b, p) for a, b in zip(xs, ys)), Fraction(0))
+    view = m.int_view(p)
+    rows = None if view.metric is None else _rows(view.metric, n)
+
+    def distance_rows(arity: int):
+        """Per xs in domain order: sum_i d(x_i, y_i)^p over every ys, times view.den."""
+        if rows is None:
+            raise EvalError(
+                f"structure stores {m.metric_power}-th powers; cannot evaluate at exponent {p}"
+            )
+        for xs in itertools.product(rows, repeat=arity):
+            acc = [0]
+            for row in xs:
+                acc = [a + b for a in acc for b in row]
+            yield acc
 
     for sym in sig.constants():
         if sym.name not in m.constants:
@@ -323,22 +339,15 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
         if any(tab.get(args) not in m._index for args in domain):
             continue
         lam = sym.lipschitz
-        for xs in domain:
-            for ys in domain:
-                lhs = m.dist_power(tab[xs], tab[ys], p)
-                rhs = tuple_power_dist(xs, ys)
-                ok = (
-                    leq_root_sum(lhs, rhs * lam**p, Fraction(0), p)
-                    if p != 1
-                    else lhs <= lam * rhs
-                )
-                if not ok:
-                    v.append(
-                        Violation(
-                            "function-lipschitz",
-                            f"d({sym.name}{xs},{sym.name}{ys}) > {lam}*d({xs},{ys})",
-                        )
-                    )
+        lo, hi = lam.denominator**p, lam.numerator**p
+        image = [m._index[tab[xs]] for xs in domain]
+        for xs, fx, dist in zip(domain, image, distance_rows(sym.arity)):
+            frow = rows[fx]
+            bad = [j for j, fy, t in zip(itertools.count(), image, dist) if frow[fy] * lo > t * hi]
+            for j in bad:
+                ys = domain[j]
+                where = f"d({sym.name}{xs},{sym.name}{ys}) > {lam}*d({xs},{ys})"
+                v.append(Violation("function-lipschitz", where))
 
     for sym in sig.relations():
         tab = m.relations.get(sym.name)
@@ -355,22 +364,20 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                     v.append(Violation("relation-out-of-range", f"{sym.name}{args}", val))
         if any(args not in tab for args in domain):
             continue
+        # read over the signature's domain: the view's cells follow the table's first key
+        vals, rden = _over_common_denominator([tab[xs] for xs in domain])
+        if max(vals) == min(vals):  # no positive difference to bound
+            continue
         lam = sym.lipschitz
-        for xs in domain:
-            for ys in domain:
-                diff = tab[xs] - tab[ys]
-                if diff <= 0:
-                    continue
-                rhs = tuple_power_dist(xs, ys)
-                ok = leq_root_sum(diff**p, rhs * lam**p, Fraction(0), p) if p != 1 else diff <= lam * rhs
-                if not ok:
-                    v.append(
-                        Violation(
-                            "relation-lipschitz",
-                            f"{sym.name}{xs} - {sym.name}{ys} > {lam}*d({xs},{ys})",
-                            diff,
-                        )
-                    )
+        # (diff/rden)^p <= lam^p * t/den, cleared of denominators
+        lo, hi = lam.denominator**p * view.den, lam.numerator**p * rden**p
+        for xs, vx, dist in zip(domain, vals, distance_rows(sym.arity)):
+            pairs = zip(itertools.count(), vals, dist)
+            bad = [j for j, vy, t in pairs if vx > vy and (vx - vy) ** p * lo > t * hi]
+            for j in bad:
+                ys = domain[j]
+                where = f"{sym.name}{xs} - {sym.name}{ys} > {lam}*d({xs},{ys})"
+                v.append(Violation("relation-lipschitz", where, Fraction(vx - vals[j], rden)))
 
     return ValidationReport(v)
 
@@ -397,7 +404,8 @@ _NOT_A_POINT = -2  # function-table cell (or constant) naming no point
 
 @dataclass(frozen=True)
 class IntView:
-    """A structure's tables as flat lists, for the evaluation kernel.
+    """A structure's tables as flat lists, for the evaluation kernel,
+    validate and rendezvous_value.
 
     Metric entries (d^p at exponent p) and relation values are integers over
     the common denominator `den`; `metric` is None when the stored metric
@@ -419,11 +427,9 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_metric(m: FiniteStructure) -> tuple[list[list[int]], int]:
-    """The stored metric as integer rows over one denominator."""
-    n = len(m.points)
-    flat, den = _over_common_denominator([e for row in m.metric for e in row])
-    return [flat[i * n : (i + 1) * n] for i in range(n)], den
+def _rows(flat: list[int], n: int) -> list[list[int]]:
+    """A flat n*n metric view as n rows."""
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
 def _build_int_view(m: FiniteStructure, p: int) -> IntView:
@@ -772,7 +778,8 @@ def rendezvous_value(m: FiniteStructure, n: int) -> tuple[Fraction, Fraction]:
         raise EvalError("n must be >= 1")
     if m.metric_power != 1:
         raise EvalError("rendezvous values need an exponent-1 metric")
-    imat, den = _integer_metric(m)
+    view = m.int_view(1)
+    imat, den = _rows(view.metric, len(m.points)), view.den
     lower_best = None
     upper_best = None
     # sums[k] is the row sum over combo[:k+1]; consecutive combinations share

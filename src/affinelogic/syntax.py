@@ -400,10 +400,6 @@ def rel(sig: Signature, name: str, *args: Term) -> Rel:
     return Rel(name, tuple(args), sym.lipschitz)
 
 
-def fsum(left: Formula, right: Formula) -> Sum:
-    return Sum(left, right)
-
-
 def scale(coeff: Rational, body: Formula) -> Scale:
     return Scale(as_fraction(coeff), body)
 
@@ -414,14 +410,6 @@ def sup(varname: str, body: Formula) -> Sup:
 
 def inf(varname: str, body: Formula) -> Inf:
     return Inf(varname, body)
-
-
-def fmin(left: Formula, right: Formula) -> Min:
-    return Min(left, right)
-
-
-def fmax(left: Formula, right: Formula) -> Max:
-    return Max(left, right)
 
 
 def numeral(r: Rational) -> Formula:

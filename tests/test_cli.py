@@ -12,7 +12,7 @@ from affinelogic.serialize import (
     proof_to_doc,
     structure_to_doc,
 )
-from affinelogic.spaces import two_point
+from affinelogic.spaces import interval, two_point
 from affinelogic.structures import make_structure
 from affinelogic.syntax import function_symbol, relation_symbol, Signature
 from affinelogic.ultramean import charge, uniform_charge
@@ -151,6 +151,26 @@ class TestSat:
         assert doc["is_consequence"] is True
         assert doc["margin"] == "0"
 
+    def test_sat_re_verifies_on_the_weighted_members_only(self, tmp_path):
+        """Eight 3-point members: their whole product (6561 tuples) is over the
+        mean cap, but the charge weights at most three of them."""
+        paths = []
+        for i in range(8):
+            paths.append(str(tmp_path / f"I{i}.json"))
+            dump_json(structure_to_doc(interval(3)), paths[-1])
+        theory = tmp_path / "theory.json"
+        dump_json(
+            {"format_version": 1, "conditions": ["sup x. sup y. d(x,y) <= 1",
+                                                 "1/4*1 <= sup x. sup y. d(x,y)"]},
+            theory,
+        )
+        r = run("sat", str(theory), *paths)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["verdict"] == "sat"
+        weights = doc["charge"]["weights"]
+        assert len(weights) == 8 and 1 <= sum(w != "0" for w in weights.values()) <= 3
+
 
 class TestSeparate:
     def test_separable_families(self, workdir):
@@ -250,6 +270,21 @@ class TestQe:
         assert doc["constant"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qe", "mu(x)", "--p", "2"],
+        ["qe", "mu(x)", "--sig", "sig.json"],
+        ["rendezvous", "two_point.json", "--n", "2", "--p", "2"],
+        ["check-proof", "proof.json", "theory.json", "--p", "2"],
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv, workdir):
+    r = run(*(str(workdir / a) if a.endswith(".json") else a for a in argv))
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+
+
 class TestCheckProof:
     def test_valid_proof_with_probe(self, workdir):
         proof, gamma = zero_scalar_derivation(Fraction(0))
@@ -345,6 +380,27 @@ class TestValidateCommand:
         assert "Traceback" not in r.stderr
         doc = json.loads(r.stdout)
         assert [v["kind"] for v in doc["violations"]] == ["value-not-a-point"]
+
+
+    def test_negative_entry_in_stored_powers_is_reported(self, tmp_path):
+        """d(b,a) < 0 is never compared in the triangle check; the Lipschitz
+        pair F(b), F(a) reads it and must report it, not fail."""
+        sig = Signature([function_symbol("F", 1, 1)])
+        m = make_structure(
+            ["a", "b"],
+            [[0, Fraction(1, 4)], [Fraction(-1, 4), 0]],
+            functions={"F": {("a",): "a", ("b",): "b"}},
+            metric_power=2,
+        )
+        dump_json(structure_to_doc(m, sig), tmp_path / "bad.json")
+        r = run("validate", str(tmp_path / "bad.json"), "--p", "2")
+        assert r.returncode == 1, r.stderr
+        doc = json.loads(r.stdout)
+        assert [v["kind"] for v in doc["violations"]] == [
+            "asymmetric-metric",
+            "metric-out-of-range",
+            "asymmetric-metric",
+        ]
 
 
 class TestInternalError:

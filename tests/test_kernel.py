@@ -1,8 +1,9 @@
-"""Differential tests: the value-table kernel against the recursive walkers.
+"""Differential tests: the integer code paths against the slow references.
 
 Every evaluator in the package goes through `structures.value_table`; the
 walkers in `walkers.py` re-walk the tree per assignment in Fraction
-arithmetic and share no code with it.
+arithmetic and share no code with it.  `structures.validate` compares
+Lipschitz pairs in integers; `walk_validate` compares them in Fractions.
 """
 
 import itertools
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 from affinelogic import structures
 from affinelogic.errors import EvalError
-from affinelogic.pra import algebras_up_to, oracle_eval, pra_signature, structure_from_algebra
+from affinelogic.pra import (
+    algebras_up_to,
+    oracle_eval,
+    oracle_table,
+    pra_signature,
+    structure_from_algebra,
+)
 from affinelogic.spaces import circle, two_point
 from affinelogic.structures import (
     eval_formula,
@@ -43,8 +50,10 @@ from affinelogic.syntax import (
 )
 from affinelogic.typespace import make_basis, realized_types, tuple_type
 
-from helpers import rand_affine_formula, rand_signature, rand_structure
-from walkers import walk_formula, walk_oracle
+from affinelogic.ultramean import ultramean
+
+from helpers import rand_affine_formula, rand_charge, rand_signature, rand_structure
+from walkers import walk_formula, walk_oracle, walk_validate
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -200,6 +209,20 @@ def test_oracle_matches_walker(seed):
             assert oracle_eval(phi, alg, asg) == walk_oracle(phi, alg, asg)
 
 
+@settings(max_examples=20, deadline=None)
+@given(SEEDS)
+def test_oracle_table_matches_walker(seed):
+    """One table per algebra, in product order of the events."""
+    rng = random.Random(seed)
+    names = rng.sample(["x", "y", "z"], rng.randint(0, 3))
+    phi = rand_affine_formula(rng, pra_signature(), names, quant_depth=2, budget=8)
+    free = sorted(phi.free)
+    for alg in algebras_up_to(2, 4):
+        combos = itertools.product(alg.events(), repeat=len(free))
+        want = [walk_oracle(phi, alg, dict(zip(free, c))) for c in combos]
+        assert oracle_table(phi, alg, free) == want
+
+
 def test_oracle_sees_the_structure_view():
     phi = parse_formula("sup y. d(x,y) + -1/2*mu(and(x,y))", pra_signature())
     for alg in algebras_up_to(3, 4):
@@ -296,3 +319,113 @@ def test_names_that_are_not_points_raise_eval_errors():
         eval_formula(m, parse_formula("sup x. d(F(x),x)", sig))
     with pytest.raises(EvalError, match="constant c names 'nowhere', not a point"):
         eval_formula(m, parse_formula("d(c,c)", sig))
+
+
+# -- validate against the pair-by-pair reference ------------------------------
+
+
+def _validate_case(rng):
+    """A random signature (at times with a binary function and a relation of
+    Lipschitz constant 0 or 3/2) and a structure that satisfies it."""
+    sig = rand_signature(rng)
+    extra = []
+    if rng.random() < 0.3:
+        extra.append(function_symbol("G", 2, rng.choice([1, 2])))
+    if rng.random() < 0.3:
+        extra.append(relation_symbol("S", 1, Fraction(rng.choice([0, 1, 3]), 2)))
+    sig = Signature(sig.symbols() + extra)
+    return sig, rand_structure(rng, sig, 4)
+
+
+def _corrupt(rng, m):
+    """A copy of m with one entry broken: a metric entry (maybe making it
+    asymmetric, negative or above 1), a function value moved to another point
+    or to a name that is no point, a relation value, or a deleted table row."""
+    n = len(m.points)
+    metric = [list(row) for row in m.metric]
+    functions = {f: dict(tab) for f, tab in m.functions.items()}
+    relations = {r: dict(tab) for r, tab in m.relations.items()}
+    tables = [("f", f) for f, tab in functions.items() if tab]
+    tables += [("r", r) for r, tab in relations.items() if tab]
+    kind = rng.choice(["metric", "metric"] + (["value", "not-a-point", "gap"] if tables else []))
+    if kind == "metric":
+        i, j = rng.randrange(n), rng.randrange(n)
+        metric[i][j] = Fraction(rng.randint(-2, 10), 8)
+        if rng.random() < 0.5:
+            metric[j][i] = metric[i][j]
+    else:
+        which, name = rng.choice(tables)
+        tab = functions[name] if which == "f" else relations[name]
+        args = rng.choice(sorted(tab))
+        if kind == "gap":
+            del tab[args]
+        elif which == "f":
+            tab[args] = "nowhere" if kind == "not-a-point" else rng.choice(m.points)
+        else:
+            tab[args] = Fraction(rng.randint(-2, 10), 8)
+    return make_structure(
+        m.points, metric, m.constants, functions, relations, metric_power=m.metric_power
+    )
+
+
+def _validation(fn, m, sig, p):
+    try:
+        return fn(m, sig, p).violations
+    except Exception as exc:  # compared by type with the reference
+        return type(exc)
+
+
+def _assert_same_validation(m, sig, p):
+    want = _validation(walk_validate, m, sig, p)
+    got = _validation(structures.validate, m, sig, p)
+    if want is ValueError and got is not ValueError:
+        # the reference's root-sum comparison of a Lipschitz pair rejects a
+        # negative entry; the integer comparison reports the entry instead
+        assert any(e < 0 for row in m.metric for e in row)
+        assert any(v.kind in ("metric-out-of-range", "nonzero-self-distance") for v in got)
+    else:
+        assert got == want
+
+
+@FAST
+@given(SEEDS)
+def test_validate_matches_reference_on_random_structures(seed):
+    """Valid and corrupted structures, checked at every exponent; at p != 1
+    the stored distances are raised to p."""
+    rng = random.Random(seed)
+    sig, m = _validate_case(rng)
+    for s in (m, _corrupt(rng, m), _corrupt(rng, _corrupt(rng, m))):
+        for p in (1, 2, 3):
+            _assert_same_validation(s, sig, p)
+
+
+@FAST
+@given(SEEDS, st.sampled_from([1, 2, 3]))
+def test_validate_matches_reference_on_means(seed, p):
+    """Means store p-th powers; corrupted copies break them; checking one at
+    another exponent raises EvalError where a Lipschitz pair is compared."""
+    rng = random.Random(seed)
+    sig, _ = _validate_case(rng)
+    family = [rand_structure(rng, sig, 3) for _ in range(rng.randint(1, 2))]
+    mean = ultramean(family, rand_charge(rng, len(family)), p=p).structure
+    for s in (mean, _corrupt(rng, mean)):
+        for q in (1, 2, 3):
+            _assert_same_validation(s, sig, q)
+
+
+def test_validate_exponent_mismatch_raises_like_the_reference():
+    sig = Signature([function_symbol("F", 1, 1), relation_symbol("P", 1, 1)])
+    m = make_structure(["a", "b"], {("a", "b"): Fraction(1, 2)},
+                       functions={"F": {("a",): "a", ("b",): "b"}},
+                       relations={"P": {("a",): 0, ("b",): Fraction(1, 2)}})
+    sq = _squared(m)
+    for p in (1, 3):
+        with pytest.raises(EvalError):
+            walk_validate(sq, sig, p)
+        with pytest.raises(EvalError):
+            structures.validate(sq, sig, p)
+    # a constant relation has no positive difference, so no pair is compared
+    flat = Signature([relation_symbol("P", 1, 1)])
+    sq = _squared(make_structure(["a", "b"], {("a", "b"): Fraction(1, 2)},
+                                 relations={"P": {("a",): 0, ("b",): 0}}))
+    assert structures.validate(sq, flat, 3).violations == walk_validate(sq, flat, 3).violations

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affinelogic.errors import UnsatisfiableError
+from affinelogic.errors import NotAffineError, UnsatisfiableError, ValidationError
 from affinelogic.satisfiability import (
     NotSeparable,
     Sat,
@@ -165,6 +165,48 @@ class TestConsequence:
         with pytest.raises(UnsatisfiableError) as err:
             consequence_margin(theory, Condition(ZERO, ZERO), family)
         assert isinstance(err.value.certificate, Unsat)
+
+
+    def test_errors_keep_their_order(self):
+        """Empty family, non-affine theory, unsatisfiable theory, and only then
+        a non-affine or open target."""
+        family = [structure_with_sigma(0)]
+        unsat = Theory((Condition(parse_formula("1", SIG), SIGMA),))
+        nonaffine = Theory((Condition(ZERO, parse_formula("min(1, sup x. P(x))", SIG)),))
+        open_target = Condition(ZERO, parse_formula("P(x)", SIG))
+        min_target = Condition(ZERO, parse_formula("max(1, sup x. P(x))", SIG))
+        with pytest.raises(ValidationError, match="empty family"):
+            consequence_margin(nonaffine, min_target, [])
+        with pytest.raises(NotAffineError, match="affine satisfiability"):
+            consequence_margin(nonaffine, open_target, family)
+        for target in (open_target, min_target):
+            with pytest.raises(UnsatisfiableError):
+                consequence_margin(unsat, target, family)
+        with pytest.raises(ValidationError, match="must be closed"):
+            consequence_margin(Theory(()), open_target, family)
+        with pytest.raises(NotAffineError, match="consequence margins"):
+            consequence_margin(Theory(()), min_target, family)
+
+    def test_margin_lp_is_feasible_exactly_when_sat(self):
+        rng = random.Random(76)
+        seen = set()
+        for _ in range(40):
+            sig = rand_signature(rng)
+            family = rand_family(rng, sig, 3, 3)
+            theory = Theory(tuple(
+                Condition(rand_sentence(rng, sig, 1, 6), rand_sentence(rng, sig, 1, 6))
+                for _ in range(rng.randint(1, 3))
+            ))
+            target = Condition(rand_sentence(rng, sig, 1, 6), rand_sentence(rng, sig, 1, 6))
+            verdict = sat_over_family(theory, family, verify=False)
+            try:
+                consequence_margin(theory, target, family)
+                raised = None
+            except UnsatisfiableError as exc:
+                raised = exc.certificate
+            assert raised == (verdict if isinstance(verdict, Unsat) else None)
+            seen.add(type(verdict))
+        assert seen == {Sat, Unsat}
 
 
 class TestSeparate:

@@ -1,19 +1,28 @@
-"""Recursive tree walkers: the differential references for the table kernel.
+"""Slow references for the integer code paths, used by the differential tests.
 
 `walk_formula` re-walks the formula for every assignment in Fraction
 arithmetic; `walk_oracle` does the same over the events of a finite
-probability algebra, with bitmask events and its own measure.  Both are
-slow and simple on purpose: they share no code with the kernel.
+probability algebra, with bitmask events and its own measure.  Both share
+no code with the table kernel.  `walk_validate` checks a structure pair by
+pair in Fractions, with a root-sum comparison per Lipschitz pair at p != 1;
+it shares only `leq_root_sum` (for the triangle check on stored powers) with
+`structures.validate`.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping
 
 from affinelogic.errors import EvalError, NotAffineError, SignatureError, ValidationError
 from affinelogic.pra import FiniteAlgebra
-from affinelogic.structures import FiniteStructure
+from affinelogic.structures import (
+    FiniteStructure,
+    ValidationReport,
+    Violation,
+    leq_root_sum,
+)
 from affinelogic.syntax import (
     Const,
     Dist,
@@ -24,6 +33,7 @@ from affinelogic.syntax import (
     One,
     Rel,
     Scale,
+    Signature,
     Sum,
     Sup,
     Term,
@@ -161,3 +171,130 @@ def walk_oracle(
         raise NotAffineError("min/max are not part of the affine PrA fragment")
 
     return go(phi)
+
+
+def walk_validate(
+    m: FiniteStructure, sig: Signature, p: int | None = None
+) -> ValidationReport:
+    """Check all structure invariants against a signature, pair by pair in Fractions.
+
+    Reports every violated instance: metric axioms (zero diagonal, symmetry,
+    triangle inequality, entries in [0,1]), totality of tables, Lipschitz
+    bounds for functions and relations, relation values in [0,1].  With a
+    p-th-power metric the triangle inequality is checked on stored powers.
+    """
+    p = m.metric_power if p is None else p
+    v: list[Violation] = []
+    pts = m.points
+    n = len(pts)
+
+    for i in range(n):
+        if m.metric[i][i] != 0:
+            v.append(Violation("nonzero-self-distance", pts[i], m.metric[i][i]))
+        for j in range(n):
+            e = m.metric[i][j]
+            if e < 0 or e > 1:
+                v.append(Violation("metric-out-of-range", f"d({pts[i]},{pts[j]})", e))
+            if m.metric[j][i] != e:
+                v.append(Violation("asymmetric-metric", f"d({pts[i]},{pts[j]})"))
+
+    if p == 1 or m.metric_power == 1:
+        d = m.metric
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    excess = d[i][j] - d[i][k] - d[j][k]
+                    if excess > 0:
+                        v.append(
+                            Violation(
+                                "triangle-violation",
+                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})",
+                                excess,
+                            )
+                        )
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    if not leq_root_sum(m.metric[i][j], m.metric[i][k], m.metric[k][j], p):
+                        v.append(
+                            Violation(
+                                "triangle-violation",
+                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})"
+                                f" (compared in {p}-th powers)",
+                            )
+                        )
+
+    def tuple_power_dist(xs: tuple[str, ...], ys: tuple[str, ...]) -> Fraction:
+        return sum((m.dist_power(a, b, p) for a, b in zip(xs, ys)), Fraction(0))
+
+    for sym in sig.constants():
+        if sym.name not in m.constants:
+            v.append(Violation("missing-interpretation", sym.name))
+        elif m.constants[sym.name] not in m._index:
+            v.append(Violation("constant-not-a-point", sym.name))
+
+    for sym in sig.functions():
+        tab = m.functions.get(sym.name)
+        if tab is None:
+            v.append(Violation("missing-interpretation", sym.name))
+            continue
+        domain = list(itertools.product(pts, repeat=sym.arity))
+        for args in domain:
+            if args not in tab:
+                v.append(Violation("table-gap", f"{sym.name}{args}"))
+            elif tab[args] not in m._index:
+                v.append(Violation("value-not-a-point", f"{sym.name}{args}"))
+        if any(tab.get(args) not in m._index for args in domain):
+            continue
+        lam = sym.lipschitz
+        for xs in domain:
+            for ys in domain:
+                lhs = m.dist_power(tab[xs], tab[ys], p)
+                rhs = tuple_power_dist(xs, ys)
+                ok = (
+                    leq_root_sum(lhs, rhs * lam**p, Fraction(0), p)
+                    if p != 1
+                    else lhs <= lam * rhs
+                )
+                if not ok:
+                    v.append(
+                        Violation(
+                            "function-lipschitz",
+                            f"d({sym.name}{xs},{sym.name}{ys}) > {lam}*d({xs},{ys})",
+                        )
+                    )
+
+    for sym in sig.relations():
+        tab = m.relations.get(sym.name)
+        if tab is None:
+            v.append(Violation("missing-interpretation", sym.name))
+            continue
+        domain = list(itertools.product(pts, repeat=sym.arity))
+        for args in domain:
+            if args not in tab:
+                v.append(Violation("table-gap", f"{sym.name}{args}"))
+            else:
+                val = tab[args]
+                if val < 0 or val > 1:
+                    v.append(Violation("relation-out-of-range", f"{sym.name}{args}", val))
+        if any(args not in tab for args in domain):
+            continue
+        lam = sym.lipschitz
+        for xs in domain:
+            for ys in domain:
+                diff = tab[xs] - tab[ys]
+                if diff <= 0:
+                    continue
+                rhs = tuple_power_dist(xs, ys)
+                ok = leq_root_sum(diff**p, rhs * lam**p, Fraction(0), p) if p != 1 else diff <= lam * rhs
+                if not ok:
+                    v.append(
+                        Violation(
+                            "relation-lipschitz",
+                            f"{sym.name}{xs} - {sym.name}{ys} > {lam}*d({xs},{ys})",
+                            diff,
+                        )
+                    )
+
+    return ValidationReport(v)
