@@ -2,17 +2,29 @@
 
 Solves    min c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
-entirely in Fraction arithmetic.  Bland's rule is used for both the entering
-and the leaving variable, so the method terminates on every input.  Optimal
-solutions come with dual multipliers (y_ub <= 0 componentwise, y_eq free)
-satisfying strong duality; infeasible programs come with a Farkas certificate
-(y_ub <= 0, y_eq) with y.A <= 0 componentwise and y.b > 0.
+exactly, on a tableau of Python ints.  Each input row is scaled to integers
+by the lcm of its denominators; a row's denominator is then its entry in its
+basic column, kept positive, and after every pivot the row is divided by the
+gcd of its entries.  The phase-1 and phase-2 objective rows (reduced costs
+and minus the objective, over their own denominator) are carried as extra
+rows that every pivot updates.  Bland's rule picks the entering and the
+leaving variable; the ratio test compares by cross-multiplication, where the
+row denominators cancel.  Every comparison is thus made on the same rational
+values as in a Fraction tableau, so the pivots, the final basis and every
+result are identical to that tableau's, and the method terminates on every
+input.  Fractions are built only for the returned vectors.
+
+Optimal solutions come with dual multipliers (y_ub <= 0 componentwise, y_eq
+free) satisfying strong duality; infeasible programs come with a Farkas
+certificate (y_ub <= 0, y_eq) with y.A <= 0 componentwise and y.b > 0.
+`check_certificate` re-checks either from the program alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Row = Sequence[Fraction]
@@ -33,71 +45,76 @@ class LPResult:
     farkas_eq: list[Fraction] | None = None
 
 
-class _Tableau:
-    """Dense simplex tableau over Fractions with an all-artificial start basis."""
+def _int_row(values: Sequence) -> tuple[list[int], int]:
+    """(nums, den) with values == nums / den and den the lcm of the denominators."""
+    pairs = []
+    for v in values:
+        try:
+            pairs.append((v.numerator, v.denominator))
+        except AttributeError:  # not a Rational: take its exact value
+            f = Fraction(v)
+            pairs.append((f.numerator, f.denominator))
+    den = lcm(*(q for _, q in pairs))
+    if den == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (den // q) for p, q in pairs], den
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], n_real: int):
-        self.m = len(rows)
-        self.n_real = n_real  # structural + slack columns
-        self.n = n_real + self.m  # plus one artificial per row
-        self.rows = []
-        for i, (row, b) in enumerate(zip(rows, rhs)):
-            art = [Fraction(0)] * self.m
-            art[i] = Fraction(1)
-            self.rows.append(list(row) + art + [b])
-        self.basis = [n_real + i for i in range(self.m)]
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
+class _Tableau:
+    """Simplex tableau of int rows with an all-artificial start basis.
+
+    Constraint row i stands for rows[i] / rows[i][basis[i]]; its last entry
+    is the right-hand side.  Each cost row holds the reduced costs, then
+    minus the objective, then their common positive denominator.
+    """
+
+    def __init__(self, rows: list[list[int]], costs: list[list[int]], n_real: int):
+        self.n = n_real + len(rows)  # structural, slack and one artificial per row
+        self.rows = rows
+        self.costs = costs
+        self.basis = [n_real + i for i in range(len(rows))]
 
     def pivot(self, r: int, col: int) -> None:
-        piv = self.rows[r][col]
-        inv = Fraction(1) / piv
-        self.rows[r] = [v * inv for v in self.rows[r]]
-        for i in range(self.m):
-            if i != r and self.rows[i][col] != 0:
-                f = self.rows[i][col]
-                ri, rr = self.rows[i], self.rows[r]
-                self.rows[i] = [a - f * b for a, b in zip(ri, rr)]
+        rows = self.rows
+        pr = rows[r]
+        p = pr[col]
+        if p < 0:
+            pr = rows[r] = [-v for v in pr]
+            p = -p
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(row, pr)])
+        for z in self.costs:
+            f = z[col]
+            if f:
+                new = [p * a - f * b for a, b in zip(z, pr)]  # zip stops before z's denominator
+                new.append(p * z[-1])
+                z[:] = _primitive(new)
         self.basis[r] = col
 
-    def solution(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.n
-        for i, b in enumerate(self.basis):
-            x[b] = self.rows[i][-1]
-        return x
-
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        cb = [cost[b] for b in self.basis]
-        red = list(cost)
-        for j in range(self.n):
-            red[j] -= sum(cb[i] * self.rows[i][j] for i in range(self.m))
-        return red
-
-    def objective(self, cost: list[Fraction]) -> Fraction:
-        return sum(cost[self.basis[i]] * self.rows[i][-1] for i in range(self.m))
-
-    def run(self, cost: list[Fraction], allowed: set[int]) -> str:
-        """Minimize cost over columns in `allowed` with Bland's rule."""
+    def run(self, z: list[int], limit: int) -> str:
+        """Minimize the carried cost row z over the columns below `limit` with Bland's rule."""
+        rows, basis = self.rows, self.basis
         while True:
-            red = self.reduced_costs(cost)
-            entering = None
-            for j in sorted(allowed):
-                if red[j] < 0:
-                    entering = j
-                    break
+            entering = next((j for j in range(limit) if z[j] < 0), None)
             if entering is None:
                 return OPTIMAL
             leaving = None
-            best_ratio = None
-            for i in range(self.m):
-                a = self.rows[i][entering]
+            for i, row in enumerate(rows):
+                a = row[entering]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
+                    if leaving is None:
+                        leaving, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a  # ratio row[-1]/a against num/den
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                        leaving, num, den = i, row[-1], a
             if leaving is None:
                 return UNBOUNDED
             self.pivot(leaving, entering)
@@ -110,88 +127,87 @@ def solve_lp(
     A_eq: Sequence[Row] | None = None,
     b_eq: Row | None = None,
 ) -> LPResult:
-    A_ub = [list(map(Fraction, r)) for r in (A_ub or [])]
-    b_ub = [Fraction(v) for v in (b_ub or [])]
-    A_eq = [list(map(Fraction, r)) for r in (A_eq or [])]
-    b_eq = [Fraction(v) for v in (b_eq or [])]
-    c = [Fraction(v) for v in c]
+    A_ub, b_ub = A_ub or [], b_ub or []
+    A_eq, b_eq = A_eq or [], b_eq or []
     n = len(c)
     mu, me = len(A_ub), len(A_eq)
-    for r in A_ub + A_eq:
+    if len(b_ub) != mu or len(b_eq) != me:
+        raise ValueError("right-hand side length does not match the number of rows")
+    for r in (*A_ub, *A_eq):
         if len(r) != n:
             raise ValueError("constraint row length does not match objective length")
 
-    # Standardize: A x + D s = b with b >= 0; sign[i] = -1 marks a negated row.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    signs: list[int] = []
-    for i in range(mu):
-        row = list(A_ub[i]) + [Fraction(0)] * mu
-        row[n + i] = Fraction(1)
-        b = b_ub[i]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            signs.append(-1)
-        else:
-            signs.append(1)
-        rows.append(row)
-        rhs.append(b)
-    for i in range(me):
-        row = list(A_eq[i]) + [Fraction(0)] * mu
-        b = b_eq[i]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            signs.append(-1)
-        else:
-            signs.append(1)
-        rows.append(row)
-        rhs.append(b)
-
+    # Standardize: A x + D s = b with b >= 0, then add one artificial per row;
+    # sign[i] = -1 marks a negated row.  Row i's denominator `den` sits in
+    # its artificial column, which is basic.
+    m = mu + me
     n_real = n + mu
-    tab = _Tableau(rows, rhs, n_real)
-    m = tab.m
-    real_cols = set(range(n_real))
-    art_cols = list(range(n_real, n_real + m))
+    width = n_real + m + 1
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    signs: list[int] = []
+    for i, (a, b) in enumerate((*zip(A_ub, b_ub), *zip(A_eq, b_eq))):
+        nums, den = _int_row([*a, b])
+        sign = -1 if nums[-1] < 0 else 1
+        row = [0] * width
+        row[:n] = [sign * v for v in nums[:n]]
+        row[-1] = sign * nums[-1]
+        if i < mu:
+            row[n + i] = sign * den
+        row[n_real + i] = den
+        rows.append(row)
+        dens.append(den)
+        signs.append(sign)
+
+    # Phase-1 cost row: cost 1 on each artificial, so the reduced costs are
+    # -(sum of the rows) off the artificial columns, over D = lcm of the dens.
+    d1 = lcm(*dens)
+    phase1 = [0] * width
+    for row, den in zip(rows, dens):
+        k = d1 // den
+        phase1 = [s - k * v for s, v in zip(phase1, row)]
+    phase1[n_real:n_real + m] = [0] * m
+    phase1.append(d1)
+    c_nums, c_den = _int_row(c)
+    phase2 = c_nums + [0] * (width - n) + [c_den]
+
+    tab = _Tableau(rows, [_primitive(phase1), phase2], n_real)
 
     # Phase 1: minimize the sum of artificials over all columns.
-    phase1_cost = [Fraction(0)] * n_real + [Fraction(1)] * m
-    status = tab.run(phase1_cost, real_cols | set(art_cols))
+    status = tab.run(tab.costs[0], tab.n)
     assert status == OPTIMAL  # phase-1 objective is bounded below by 0
-    if tab.objective(phase1_cost) > 0:
-        red = tab.reduced_costs(phase1_cost)
-        # y_i = c_art[i] - reduced cost of artificial column i = 1 - red
-        y = [Fraction(1) - red[col] for col in art_cols]
-        farkas_ub = [y[i] * signs[i] for i in range(mu)]
-        farkas_eq = [y[mu + i] * signs[mu + i] for i in range(me)]
-        return LPResult(status=INFEASIBLE, farkas_ub=farkas_ub, farkas_eq=farkas_eq)
+    phase1 = tab.costs.pop(0)
+    if phase1[-2] < 0:  # the phase-1 optimum -phase1[-2]/phase1[-1] is positive
+        # y_i = c_art[i] - reduced cost of artificial column i
+        d1 = phase1[-1]
+        y = [Fraction(signs[i] * (d1 - phase1[n_real + i]), d1) for i in range(m)]
+        return LPResult(status=INFEASIBLE, farkas_ub=y[:mu], farkas_eq=y[mu:])
 
     # Drive basic artificials (all at value 0 now) out of the basis if possible.
     for i in range(m):
         if tab.basis[i] >= n_real:
-            for j in sorted(real_cols):
+            for j in range(n_real):
                 if tab.rows[i][j] != 0:
                     tab.pivot(i, j)
                     break
             # an all-zero row is redundant; its artificial stays basic at 0
 
     # Phase 2 over the real columns only.
-    phase2_cost = list(c) + [Fraction(0)] * (mu + m)
-    status = tab.run(phase2_cost, real_cols)
-    if status == UNBOUNDED:
+    if tab.run(phase2, n_real) == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
-    full = tab.solution()
-    red = tab.reduced_costs(phase2_cost)
-    y = [-red[col] for col in art_cols]  # c_B B^{-1}, read off the artificial columns
-    dual_ub = [y[i] * signs[i] for i in range(mu)]
-    dual_eq = [y[mu + i] * signs[mu + i] for i in range(me)]
+    x = [Fraction(0)] * n
+    for row, b in zip(tab.rows, tab.basis):
+        if b < n:
+            x[b] = Fraction(row[-1], row[b])
+    d2 = phase2[-1]
+    # c_B B^{-1}, read off the artificial columns: y_i = -reduced cost
+    y = [Fraction(-signs[i] * phase2[n_real + i], d2) for i in range(m)]
     return LPResult(
         status=OPTIMAL,
-        x=full[:n],
-        objective=tab.objective(phase2_cost),
-        dual_ub=dual_ub,
-        dual_eq=dual_eq,
+        x=x,
+        objective=Fraction(-phase2[-2], d2),
+        dual_ub=y[:mu],
+        dual_eq=y[mu:],
     )
 
 
@@ -207,3 +223,69 @@ def lp_feasible(
         probe = (A_ub or A_eq or [[]])
         n_vars = len(probe[0])
     return solve_lp([Fraction(0)] * n_vars, A_ub, b_ub, A_eq, b_eq)
+
+
+def check_certificate(
+    c: Row,
+    A_ub: Sequence[Row] | None,
+    b_ub: Row | None,
+    A_eq: Sequence[Row] | None,
+    b_eq: Row | None,
+    result: LPResult,
+) -> list[str]:
+    """The conditions a result's certificate fails, from the program's definition alone.
+
+    An optimum needs a feasible x, y_ub <= 0, reduced costs c - y.A >= 0 and
+    c.x == y.b == objective.  An infeasibility verdict needs y_ub <= 0,
+    y.A <= 0 componentwise and y.b > 0.  An unbounded verdict carries no
+    certificate; only that it holds no vectors is checked.  An empty list
+    means the certificate holds.
+    """
+    A_ub, A_eq = ([list(map(Fraction, r)) for r in rows or []] for rows in (A_ub, A_eq))
+    b_ub, b_eq, c = (list(map(Fraction, v or [])) for v in (b_ub, b_eq, c))
+    n = len(c)
+
+    def dot(u, v) -> Fraction:
+        return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+    if result.status == OPTIMAL:
+        names = ("dual_ub", "dual_eq")
+        vectors = {"x": (result.x, n), "dual_ub": (result.dual_ub, len(A_ub)),
+                   "dual_eq": (result.dual_eq, len(A_eq))}
+    elif result.status == INFEASIBLE:
+        names = ("farkas_ub", "farkas_eq")
+        vectors = {"farkas_ub": (result.farkas_ub, len(A_ub)),
+                   "farkas_eq": (result.farkas_eq, len(A_eq))}
+    elif result.status == UNBOUNDED:
+        values = (result.x, result.objective, result.dual_ub, result.dual_eq,
+                  result.farkas_ub, result.farkas_eq)
+        return [] if all(v is None for v in values) else ["an unbounded result carries values"]
+    else:
+        return [f"unknown status {result.status!r}"]
+    failed = [
+        f"{name} missing or of wrong length"
+        for name, (vec, size) in vectors.items()
+        if vec is None or len(vec) != size
+    ]
+    if failed:
+        return failed
+
+    y_ub, y_eq = (vectors[name][0] for name in names)
+    failed += [f"{names[0]}[{i}] > 0" for i, v in enumerate(y_ub) if v > 0]
+    ya = [dot(y_ub, [r[j] for r in A_ub]) + dot(y_eq, [r[j] for r in A_eq]) for j in range(n)]
+    yb = dot(y_ub, b_ub) + dot(y_eq, b_eq)
+    if result.status == INFEASIBLE:
+        failed += [f"(y.A)[{j}] > 0" for j in range(n) if ya[j] > 0]
+        if yb <= 0:
+            failed.append("y.b <= 0")
+        return failed
+    x = result.x
+    failed += [f"x[{j}] < 0" for j in range(n) if x[j] < 0]
+    failed += [f"A_ub[{i}].x > b_ub[{i}]" for i, r in enumerate(A_ub) if dot(r, x) > b_ub[i]]
+    failed += [f"A_eq[{i}].x != b_eq[{i}]" for i, r in enumerate(A_eq) if dot(r, x) != b_eq[i]]
+    failed += [f"reduced cost {j} < 0" for j in range(n) if c[j] - ya[j] < 0]
+    if dot(c, x) != result.objective:
+        failed.append("c.x != objective")
+    if yb != result.objective:
+        failed.append("y.b != objective")
+    return failed

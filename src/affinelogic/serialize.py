@@ -132,6 +132,19 @@ def structure_to_doc(
     return doc
 
 
+def _table_rows(table: Any, what: str) -> list:
+    """A table's rows, each its args then its value, all of one length."""
+    rows = list(table)
+    for row in rows:
+        if len(row) < 2:
+            raise InputError(f"{what}: table rows need args and a value")
+        if len(row) != len(rows[0]):
+            raise InputError(
+                f"{what}: table rows have different lengths ({len(rows[0])} and {len(row)})"
+            )
+    return rows
+
+
 def structure_from_doc(doc: Any) -> tuple[FiniteStructure, Signature | None]:
     if not isinstance(doc, dict):
         raise InputError("structure document must be a JSON object")
@@ -150,17 +163,13 @@ def structure_from_doc(doc: Any) -> tuple[FiniteStructure, Signature | None]:
     functions = {}
     for fname, table in (doc.get("functions") or {}).items():
         tab = {}
-        for row in table:
-            if len(row) < 2:
-                raise InputError(f"function {fname}: table rows need args and a value")
+        for row in _table_rows(table, f"function {fname}"):
             tab[tuple(map(str, row[:-1]))] = str(row[-1])
         functions[fname] = tab
     relations = {}
     for rname, table in (doc.get("relations") or {}).items():
         tab_r = {}
-        for row in table:
-            if len(row) < 2:
-                raise InputError(f"relation {rname}: table rows need args and a value")
+        for row in _table_rows(table, f"relation {rname}"):
             tab_r[tuple(map(str, row[:-1]))] = _frac(row[-1], f"relation {rname}")
         relations[rname] = tab_r
     m = FiniteStructure(

@@ -287,7 +287,7 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                         v.append(
                             Violation(
                                 "triangle-violation",
-                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})",
+                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[j]},{pts[k]})",
                                 Fraction(dij - ri[k] - rj[k], den),
                             )
                         )

@@ -70,6 +70,17 @@ class TestEval:
         assert err["error"]["type"] == "EvalError"
 
 
+    def test_ragged_relation_table_is_an_input_error(self, tmp_path):
+        doc = structure_to_doc(two_point())
+        doc["relations"] = {"R": [["a", "b", 1], ["a", 0], ["b", 1]]}
+        dump_json(doc, tmp_path / "ragged.json")
+        r = run("eval", str(tmp_path / "ragged.json"), "sup x. R(x)")
+        assert r.returncode == 2
+        err = json.loads(r.stderr)["error"]
+        assert err["type"] == "InputError"
+        assert "different lengths" in err["message"]
+
+
 class TestMean:
     def test_check_ultramean_prints_weighted_sum(self, workdir):
         r = run(

@@ -65,6 +65,19 @@ class TestValidate:
         report = validate(m, METRIC_ONLY)
         assert any(v.kind == "triangle-violation" for v in report.violations)
 
+    def test_triangle_violation_names_the_entries_compared(self):
+        # asymmetric: d(b,c) = 1/8 but d(c,b) = 1; only d(a,b) > d(a,c) + d(b,c) fails
+        third = Fraction(1, 8)
+        m = make_structure(
+            ["a", "b", "c"],
+            [[0, Fraction(1, 2), third], [Fraction(1, 2), 0, third], [third, 1, 0]],
+        )
+        report = validate(m, METRIC_ONLY)
+        triangles = [v for v in report.violations if v.kind == "triangle-violation"]
+        assert [(v.where, v.amount) for v in triangles] == [
+            ("d(a,b) > d(a,c)+d(b,c)", Fraction(1, 4))
+        ]
+
     def test_missing_interpretation(self):
         sig = Signature([relation_symbol("R", 1, 1)])
         report = validate(two_point(), sig)

@@ -6,16 +6,19 @@ probability algebra, with bitmask events and its own measure.  Both share
 no code with the table kernel.  `walk_validate` checks a structure pair by
 pair in Fractions, with a root-sum comparison per Lipschitz pair at p != 1;
 it shares only `leq_root_sum` (for the triangle check on stored powers) with
-`structures.validate`.
+`structures.validate`.  `walk_solve_lp` is the dense Fraction tableau that
+recomputes the reduced costs c_B B^-1 A on every iteration; it shares only
+`LPResult` and the status names with `lp.solve_lp`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from affinelogic.errors import EvalError, NotAffineError, SignatureError, ValidationError
+from affinelogic.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from affinelogic.pra import FiniteAlgebra
 from affinelogic.structures import (
     FiniteStructure,
@@ -208,7 +211,7 @@ def walk_validate(
                         v.append(
                             Violation(
                                 "triangle-violation",
-                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})",
+                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[j]},{pts[k]})",
                                 excess,
                             )
                         )
@@ -298,3 +301,163 @@ def walk_validate(
                     )
 
     return ValidationReport(v)
+
+
+class _FractionTableau:
+    """Dense simplex tableau over Fractions with an all-artificial start basis."""
+
+    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], n_real: int):
+        self.m = len(rows)
+        self.n_real = n_real  # structural + slack columns
+        self.n = n_real + self.m  # plus one artificial per row
+        self.rows = []
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            art = [Fraction(0)] * self.m
+            art[i] = Fraction(1)
+            self.rows.append(list(row) + art + [b])
+        self.basis = [n_real + i for i in range(self.m)]
+
+    def pivot(self, r: int, col: int) -> None:
+        piv = self.rows[r][col]
+        inv = Fraction(1) / piv
+        self.rows[r] = [v * inv for v in self.rows[r]]
+        for i in range(self.m):
+            if i != r and self.rows[i][col] != 0:
+                f = self.rows[i][col]
+                ri, rr = self.rows[i], self.rows[r]
+                self.rows[i] = [a - f * b for a, b in zip(ri, rr)]
+        self.basis[r] = col
+
+    def solution(self) -> list[Fraction]:
+        x = [Fraction(0)] * self.n
+        for i, b in enumerate(self.basis):
+            x[b] = self.rows[i][-1]
+        return x
+
+    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
+        cb = [cost[b] for b in self.basis]
+        red = list(cost)
+        for j in range(self.n):
+            red[j] -= sum(cb[i] * self.rows[i][j] for i in range(self.m))
+        return red
+
+    def objective(self, cost: list[Fraction]) -> Fraction:
+        return sum(cost[self.basis[i]] * self.rows[i][-1] for i in range(self.m))
+
+    def run(self, cost: list[Fraction], allowed: set[int]) -> str:
+        """Minimize cost over columns in `allowed` with Bland's rule."""
+        while True:
+            red = self.reduced_costs(cost)
+            entering = None
+            for j in sorted(allowed):
+                if red[j] < 0:
+                    entering = j
+                    break
+            if entering is None:
+                return OPTIMAL
+            leaving = None
+            best_ratio = None
+            for i in range(self.m):
+                a = self.rows[i][entering]
+                if a > 0:
+                    ratio = self.rows[i][-1] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
+                    ):
+                        best_ratio = ratio
+                        leaving = i
+            if leaving is None:
+                return UNBOUNDED
+            self.pivot(leaving, entering)
+
+
+def walk_solve_lp(
+    c: Sequence,
+    A_ub: Sequence[Sequence] | None = None,
+    b_ub: Sequence | None = None,
+    A_eq: Sequence[Sequence] | None = None,
+    b_eq: Sequence | None = None,
+) -> LPResult:
+    """Two-phase simplex with Bland's rule on a Fraction tableau; `lp.solve_lp`'s reference."""
+    A_ub = [list(map(Fraction, r)) for r in (A_ub or [])]
+    b_ub = [Fraction(v) for v in (b_ub or [])]
+    A_eq = [list(map(Fraction, r)) for r in (A_eq or [])]
+    b_eq = [Fraction(v) for v in (b_eq or [])]
+    c = [Fraction(v) for v in c]
+    n = len(c)
+    mu, me = len(A_ub), len(A_eq)
+
+    # Standardize: A x + D s = b with b >= 0; sign[i] = -1 marks a negated row.
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    signs: list[int] = []
+    for i in range(mu):
+        row = list(A_ub[i]) + [Fraction(0)] * mu
+        row[n + i] = Fraction(1)
+        b = b_ub[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            signs.append(-1)
+        else:
+            signs.append(1)
+        rows.append(row)
+        rhs.append(b)
+    for i in range(me):
+        row = list(A_eq[i]) + [Fraction(0)] * mu
+        b = b_eq[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            signs.append(-1)
+        else:
+            signs.append(1)
+        rows.append(row)
+        rhs.append(b)
+
+    n_real = n + mu
+    tab = _FractionTableau(rows, rhs, n_real)
+    m = tab.m
+    real_cols = set(range(n_real))
+    art_cols = list(range(n_real, n_real + m))
+
+    # Phase 1: minimize the sum of artificials over all columns.
+    phase1_cost = [Fraction(0)] * n_real + [Fraction(1)] * m
+    status = tab.run(phase1_cost, real_cols | set(art_cols))
+    assert status == OPTIMAL  # phase-1 objective is bounded below by 0
+    if tab.objective(phase1_cost) > 0:
+        red = tab.reduced_costs(phase1_cost)
+        # y_i = c_art[i] - reduced cost of artificial column i = 1 - red
+        y = [Fraction(1) - red[col] for col in art_cols]
+        farkas_ub = [y[i] * signs[i] for i in range(mu)]
+        farkas_eq = [y[mu + i] * signs[mu + i] for i in range(me)]
+        return LPResult(status=INFEASIBLE, farkas_ub=farkas_ub, farkas_eq=farkas_eq)
+
+    # Drive basic artificials (all at value 0 now) out of the basis if possible.
+    for i in range(m):
+        if tab.basis[i] >= n_real:
+            for j in sorted(real_cols):
+                if tab.rows[i][j] != 0:
+                    tab.pivot(i, j)
+                    break
+            # an all-zero row is redundant; its artificial stays basic at 0
+
+    # Phase 2 over the real columns only.
+    phase2_cost = list(c) + [Fraction(0)] * (mu + m)
+    status = tab.run(phase2_cost, real_cols)
+    if status == UNBOUNDED:
+        return LPResult(status=UNBOUNDED)
+    full = tab.solution()
+    red = tab.reduced_costs(phase2_cost)
+    y = [-red[col] for col in art_cols]  # c_B B^{-1}, read off the artificial columns
+    dual_ub = [y[i] * signs[i] for i in range(mu)]
+    dual_eq = [y[mu + i] * signs[mu + i] for i in range(me)]
+    return LPResult(
+        status=OPTIMAL,
+        x=full[:n],
+        objective=tab.objective(phase2_cost),
+        dual_ub=dual_ub,
+        dual_eq=dual_eq,
+    )
