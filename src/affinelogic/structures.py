@@ -77,16 +77,6 @@ class FiniteStructure:
         """Stored metric entry (a p-th power when metric_power > 1)."""
         return self.metric[self._index[a]][self._index[b]]
 
-    def dist_power(self, a: str, b: str, p: int) -> Fraction:
-        """d(a,b)^p as an exact rational."""
-        if p == self.metric_power:
-            return self.d(a, b)
-        if self.metric_power == 1:
-            return self.d(a, b) ** p
-        raise EvalError(
-            f"structure stores {self.metric_power}-th powers; cannot evaluate at exponent {p}"
-        )
-
     def tuple_dist(self, xs: Sequence[str], ys: Sequence[str]) -> Fraction:
         """Sum metric on tuples (exponent-1 convention)."""
         if self.metric_power != 1:
@@ -253,30 +243,32 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
     Reports every violated instance: metric axioms (zero diagonal, symmetry,
     triangle inequality, entries in [0,1]), totality of tables, Lipschitz
     bounds for functions and relations, relation values in [0,1].  With a
-    p-th-power metric the triangle inequality is checked on stored powers.
+    p-th-power metric the triangle inequality is checked on stored powers,
+    skipping triples that hold a negative entry.
 
-    Every pair of argument tuples is compared in integers, one way for every
-    p: with lam = num/den, den^p * d(F xs, F ys)^p <= num^p * sum_i
-    d(x_i, y_i)^p, and likewise (R xs - R ys)^p where that is positive.
+    The metric axioms read the stored metric's integer view.  Every pair of
+    argument tuples is compared in integers, one way for every p: with
+    lam = num/den, den^p * d(F xs, F ys)^p <= num^p * sum_i d(x_i, y_i)^p,
+    and likewise (R xs - R ys)^p where that is positive.
     """
     p = m.metric_power if p is None else p
     v: list[Violation] = []
     pts = m.points
     n = len(pts)
 
+    stored = m.int_view(m.metric_power)
+    imat, den = _rows(stored.metric, n), stored.den
     for i in range(n):
-        if m.metric[i][i] != 0:
+        ri = imat[i]
+        if ri[i] != 0:
             v.append(Violation("nonzero-self-distance", pts[i], m.metric[i][i]))
         for j in range(n):
-            e = m.metric[i][j]
-            if e < 0 or e > 1:
-                v.append(Violation("metric-out-of-range", f"d({pts[i]},{pts[j]})", e))
-            if m.metric[j][i] != e:
+            e = ri[j]
+            if e < 0 or e > den:
+                v.append(Violation("metric-out-of-range", f"d({pts[i]},{pts[j]})", m.metric[i][j]))
+            if imat[j][i] != e:
                 v.append(Violation("asymmetric-metric", f"d({pts[i]},{pts[j]})"))
-
     if p == 1 or m.metric_power == 1:
-        stored = m.int_view(m.metric_power)
-        imat, den = _rows(stored.metric, n), stored.den
         for i in range(n):
             ri = imat[i]
             for j in range(i + 1, n):
@@ -292,17 +284,36 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                             )
                         )
     else:
+        # c^(1/p) <= a^(1/p) + b^(1/p) for c = d(i,j), a = d(i,k), b = d(k,j).
+        # The condition is homogeneous, so it is decided on the integers over
+        # den; it holds when c <= a + b, and at p = 2 exactly when also
+        # (c - a - b)^2 <= 4ab.  Triples with a negative entry are skipped:
+        # the entry is reported above and has no root.
+        cols = list(zip(*imat))
         for i in range(n):
+            ri = imat[i]
             for j in range(i + 1, n):
-                for k in range(n):
-                    if not leq_root_sum(m.metric[i][j], m.metric[i][k], m.metric[k][j], p):
-                        v.append(
-                            Violation(
-                                "triangle-violation",
-                                f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})"
-                                f" (compared in {p}-th powers)",
-                            )
+                c = ri[j]
+                triples = zip(itertools.count(), ri, cols[j])
+                if p == 2:
+                    bad = [
+                        k for k, a, b in triples
+                        if c > a + b and a >= 0 and b >= 0 and (c - a - b) ** 2 > 4 * a * b
+                    ]
+                else:
+                    bad = [
+                        k for k, a, b in triples
+                        if c > a + b and a >= 0 and b >= 0
+                        and not leq_root_sum(m.metric[i][j], m.metric[i][k], m.metric[k][j], p)
+                    ]
+                for k in bad:
+                    v.append(
+                        Violation(
+                            "triangle-violation",
+                            f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})"
+                            f" (compared in {p}-th powers)",
                         )
+                    )
 
     view = m.int_view(p)
     rows = None if view.metric is None else _rows(view.metric, n)

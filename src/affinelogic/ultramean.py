@@ -14,12 +14,13 @@ sum_i w_i d_i(a_i,b_i)^p and the resulting structure is marked with
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import UniverseCapError, ValidationError
-from .structures import FiniteStructure, make_structure, quotient
+from .structures import FiniteStructure
 from .syntax import Rational, as_fraction
 
 DEFAULT_TUPLE_CAP = 4096
@@ -101,6 +102,36 @@ def _tuple_id(tup: Sequence[str]) -> str:
     return _SEP.join(tup)
 
 
+def _kronecker_sum(
+    prev: list[int], n_prev: int, cur: list[int], n_cur: int, arity: int
+) -> list[int]:
+    """T[(A1,a1),...,(Ak,ak)] = prev[A1..Ak] + cur[a1..ak] for k = arity.
+
+    prev is a table over n_prev points and cur one over n_cur points, both
+    flat in itertools.product order; so is T, over the n_prev * n_cur points
+    (A, a) of the product, indexed A * n_cur + a.
+    """
+    if arity == 0:
+        return [prev[0] + cur[0]]
+    if arity == 1:
+        return [x + y for x in prev for y in cur]
+    sp, sc = n_prev ** (arity - 1), n_cur ** (arity - 1)
+    out: list[int] = []
+    for i in range(0, len(prev), sp):
+        for j in range(0, len(cur), sc):
+            out += _kronecker_sum(prev[i : i + sp], n_prev, cur[j : j + sc], n_cur, arity - 1)
+    return out
+
+
+def _product_index(digits: Sequence[int], base: int, arity: int) -> list[int]:
+    """Flat indices, in a table over `base` points, of the cells whose
+    arguments run over `digits`, in itertools.product order."""
+    index = [0]
+    for _ in range(arity):
+        index = [i * base + d for i in index for d in digits]
+    return index
+
+
 def ultramean(
     family: Sequence[FiniteStructure],
     mu: Charge,
@@ -140,57 +171,100 @@ def ultramean(
                 f"product universe exceeds the cap ({size} > {max_tuples} tuples)"
             )
 
+    # Member k adds scale[k] * (its int view's cells) to every entry, all over
+    # the one denominator `den`: weights over wden, views over vden.
+    views = [m.int_view(p) for m in family]
     weights = [mu.weight(i) for i in mu.ids]
+    wden = math.lcm(*(w.denominator for w in weights))
+    vden = math.lcm(*(view.den for view in views))
+    den = wden * vden
+    scale = [
+        w.numerator * (wden // w.denominator) * (vden // view.den)
+        for w, view in zip(weights, views)
+    ]
+    first = views[0]
+    metric = [0]
+    relations = {r: (arity, [0]) for r, (arity, _) in first.relations.items()}
+    functions = {f: (arity, [0]) for f, (arity, _) in first.functions.items()}
+    constants = dict.fromkeys(first.constants, 0)
+    size = 1
+    for k, (m, view, s) in enumerate(zip(family, views, scale)):
+        n = len(m.points)
+        metric = _kronecker_sum(metric, size, [s * e for e in view.metric], n, 2)
+        for r, (arity, cells) in relations.items():
+            own_arity, own = view.relations[r]
+            if own_arity != arity or None in own:
+                raise ValidationError(f"family member {k}: relation {r} has gaps on its points")
+            relations[r] = arity, _kronecker_sum(cells, size, [s * v for v in own], n, arity)
+        # point (A, a) of the product so far has index A * n + a
+        for f, (arity, cells) in functions.items():
+            own_arity, own = view.functions[f]
+            if own_arity != arity or min(own) < 0:  # a gap, or a value that is no point
+                raise ValidationError(f"family member {k}: function {f} is not a map on its points")
+            functions[f] = arity, _kronecker_sum([v * n for v in cells], size, own, n, arity)
+        for c, i in constants.items():
+            if view.constants[c] < 0:
+                raise ValidationError(f"family member {k}: constant {c} is not a point")
+            constants[c] = i * n + view.constants[c]
+        size *= n
+
+    # Collapse as structures.quotient does: each tuple joins the first class
+    # whose representative (an earlier tuple) is at distance 0 from it.
     tuples = list(itertools.product(*(m.points for m in family)))
     ids = [_tuple_id(t) for t in tuples]
-    index = {t: i for i, t in enumerate(tuples)}
+    reps: list[int] = []
+    cls: list[int] = []
+    for a in range(size):
+        cls.append(next((c for c, r in enumerate(reps) if metric[r * size + a] == 0), len(reps)))
+        if cls[a] == len(reps):
+            reps.append(a)
+    classes = len(reps)
 
-    metric: dict[tuple[str, str], Fraction] = {}
-    for a_pos in range(len(tuples)):
-        a = tuples[a_pos]
-        for b_pos in range(a_pos + 1, len(tuples)):
-            b = tuples[b_pos]
-            entry = sum(
-                (
-                    w * m.dist_power(x, y, p)
-                    for w, m, x, y in zip(weights, family, a, b)
-                ),
-                Fraction(0),
-            )
-            metric[(ids[a_pos], ids[b_pos])] = entry
+    def collapse(kind: str, name: str, arity: int, cells: list[int]) -> list[int]:
+        """The table on the classes, read at their representatives; every
+        other cell must hold the same value as its class's cell."""
+        out = [cells[i] for i in _product_index(reps, size, arity)]
+        for i, j in enumerate(_product_index(cls, classes, arity)):
+            if cells[i] != out[j]:
+                args = next(itertools.islice(itertools.product(ids, repeat=arity), i, None))
+                raise ValidationError(f"{kind} {name} not well-defined on classes at {args}")
+        return out
 
-    constants = {
-        c: _tuple_id(tuple(m.constants[c] for m in family)) for c in family[0].constants
+    functions = {
+        f: (arity, collapse("function", f, arity, [cls[v] for v in cells]))
+        for f, (arity, cells) in functions.items()
     }
-    functions: dict[str, dict[tuple[str, ...], str]] = {}
-    for fname in family[0].functions:
-        arity = len(next(iter(family[0].functions[fname])))
-        tab: dict[tuple[str, ...], str] = {}
-        for args in itertools.product(tuples, repeat=arity):
-            value = tuple(
-                m.functions[fname][tuple(arg[k] for arg in args)]
-                for k, m in enumerate(family)
-            )
-            tab[tuple(ids[index[a]] for a in args)] = _tuple_id(value)
-        functions[fname] = tab
-    relations: dict[str, dict[tuple[str, ...], Fraction]] = {}
-    for rname in family[0].relations:
-        arity = len(next(iter(family[0].relations[rname])))
-        tab_r: dict[tuple[str, ...], Fraction] = {}
-        for args in itertools.product(tuples, repeat=arity):
-            value = sum(
-                (
-                    w * m.relations[rname][tuple(arg[k] for arg in args)]
-                    for k, (w, m) in enumerate(zip(weights, family))
-                ),
-                Fraction(0),
-            )
-            tab_r[tuple(ids[index[a]] for a in args)] = value
-        relations[rname] = tab_r
+    relations = {
+        r: (arity, collapse("relation", r, arity, cells))
+        for r, (arity, cells) in relations.items()
+    }
+    points = [ids[r] for r in reps]
+    flat = [metric[i] for i in _product_index(reps, size, 2)]
+    # make_structure's convention: the upper triangle, mirrored, zero diagonal
+    rows = [[Fraction(0)] * classes for _ in range(classes)]
+    for a in range(classes):
+        row = rows[a]
+        for b in range(a + 1, classes):
+            row[b] = rows[b][a] = Fraction(flat[a * classes + b], den)
 
-    pre = make_structure(ids, metric, constants, functions, relations, metric_power=p)
-    collapsed, rep_of = quotient(pre)
-    class_of = {t: rep_of[_tuple_id(t)] for t in tuples}
+    def table(arity: int) -> list[tuple[str, ...]]:
+        return list(itertools.product(points, repeat=arity))
+
+    collapsed = FiniteStructure(
+        points=tuple(points),
+        metric=tuple(map(tuple, rows)),
+        constants={c: points[cls[i]] for c, i in constants.items()},
+        functions={
+            f: dict(zip(table(arity), (points[c] for c in cells)))
+            for f, (arity, cells) in functions.items()
+        },
+        relations={
+            r: dict(zip(table(arity), (Fraction(v, den) for v in cells)))
+            for r, (arity, cells) in relations.items()
+        },
+        metric_power=p,
+    )
+    class_of = {t: points[c] for t, c in zip(tuples, cls)}
     return MeanStructure(
         structure=collapsed,
         charge=mu,

@@ -413,6 +413,25 @@ class TestValidateCommand:
             "asymmetric-metric",
         ]
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_negative_entry_in_the_stored_power_triangle_is_reported(self, tmp_path, p):
+        """The triangle check on stored powers skips triples holding the
+        negative entry d(a,b) = d(b,a) = -1/4, which has no root."""
+        quarter = Fraction(1, 4)
+        m = make_structure(
+            ["a", "b", "c"],
+            {("a", "b"): -quarter, ("a", "c"): quarter, ("b", "c"): quarter},
+            metric_power=p,
+        )
+        dump_json(structure_to_doc(m), tmp_path / "bad.json")
+        r = run("validate", str(tmp_path / "bad.json"), "--p", str(p))
+        assert r.returncode == 1, r.stderr
+        doc = json.loads(r.stdout)
+        assert [(v["kind"], v["where"], v["amount"]) for v in doc["violations"]] == [
+            ("metric-out-of-range", "d(a,b)", "-1/4"),
+            ("metric-out-of-range", "d(b,a)", "-1/4"),
+        ]
+
 
 class TestInternalError:
     def test_deep_formula_exits_3_with_json_error(self, workdir):

@@ -26,6 +26,7 @@ from affinelogic.syntax import (
 )
 
 from helpers import rand_affine_formula, rand_signature, rand_structure
+from walkers import walk_validate
 
 METRIC_ONLY = Signature.metric_only()
 
@@ -77,6 +78,41 @@ class TestValidate:
         assert [(v.where, v.amount) for v in triangles] == [
             ("d(a,b) > d(a,c)+d(b,c)", Fraction(1, 4))
         ]
+
+    @staticmethod
+    def _stored_powers(p, ab, bc, ac):
+        return make_structure(
+            ["a", "b", "c"], {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ac}, metric_power=p
+        )
+
+    def test_stored_squares_meet_the_triangle_with_equality(self):
+        """sqrt(25/36) = sqrt(1/9) + sqrt(1/4): 5/6 = 1/3 + 1/2, on three denominators."""
+        m = self._stored_powers(2, Fraction(1, 9), Fraction(1, 4), Fraction(25, 36))
+        assert validate(m, METRIC_ONLY).violations == []
+        assert walk_validate(m, METRIC_ONLY).violations == []
+
+    def test_stored_squares_just_past_equality_violate_once(self):
+        m = self._stored_powers(2, Fraction(1, 9), Fraction(1, 4), Fraction(26, 36))
+        report = validate(m, METRIC_ONLY)
+        assert [(v.kind, v.where, v.amount) for v in report.violations] == [
+            ("triangle-violation", "d(a,c) > d(a,b)+d(b,c) (compared in 2-th powers)", None)
+        ]
+        assert report.violations == walk_validate(m, METRIC_ONLY).violations
+
+    @pytest.mark.parametrize(
+        "ab, bc, ac, violations",
+        [
+            (Fraction(1, 27), Fraction(1, 8), Fraction(125, 216), 0),  # 1/3 + 1/2 = 5/6
+            (Fraction(1, 27), Fraction(1, 8), Fraction(126, 216), 1),
+            (Fraction(1, 100), Fraction(1, 50), Fraction(1, 9), 0),  # irrational roots
+            (Fraction(1, 100), Fraction(1, 50), Fraction(1, 8), 1),
+        ],
+    )
+    def test_stored_cubes_match_the_reference(self, ab, bc, ac, violations):
+        m = self._stored_powers(3, ab, bc, ac)
+        report = validate(m, METRIC_ONLY)
+        assert len(report.violations) == violations
+        assert report.violations == walk_validate(m, METRIC_ONLY).violations
 
     def test_missing_interpretation(self):
         sig = Signature([relation_symbol("R", 1, 1)])

@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from affinelogic.errors import UniverseCapError
+from affinelogic.errors import AffineLogicError, UniverseCapError, ValidationError
+from affinelogic.serialize import dump_json, mean_to_doc
 from affinelogic.spaces import two_point
 from affinelogic.structures import eval_formula, make_structure, quotient, validate
 from affinelogic.syntax import (
     Min,
     Signature,
     Sup,
+    constant_symbol,
+    function_symbol,
     parse_formula,
     relation_symbol,
 )
@@ -31,6 +36,7 @@ from helpers import (
     rand_signature,
     rand_structure,
 )
+from walkers import walk_ultramean
 
 METRIC_ONLY = Signature.metric_only()
 
@@ -206,3 +212,141 @@ class TestNonAffineFailure:
         assert mean_value == Fraction(1, 2)
         assert weighted == 0
         assert mean_value != weighted
+
+
+# -- the integer construction against the Fraction reference -----------------
+
+
+def _powers(m, q):
+    """m with its distances stored as exact q-th powers (metric_power = q)."""
+    return make_structure(
+        m.points,
+        [[e**q for e in row] for row in m.metric],
+        m.constants,
+        m.functions,
+        m.relations,
+        metric_power=q,
+    )
+
+
+def _without(m, name):
+    """m with symbol `name` left uninterpreted."""
+    return make_structure(
+        m.points,
+        m.metric,
+        {c: v for c, v in m.constants.items() if c != name},
+        {f: t for f, t in m.functions.items() if f != name},
+        {r: t for r, t in m.relations.items() if r != name},
+        metric_power=m.metric_power,
+    )
+
+
+def _mean_doc(build, family, mu, p, max_tuples, sig):
+    """The mean document's bytes, or the error raised building it."""
+    try:
+        mean = build(family, mu, p=p, max_tuples=max_tuples)
+    except AffineLogicError as exc:
+        return type(exc).__name__, str(exc)
+    return dump_json(mean_to_doc(mean, sig))
+
+
+def _assert_same_mean(family, mu, p, sig, max_tuples=4096, build=ultramean):
+    want = _mean_doc(walk_ultramean, family, mu, p, max_tuples, sig)
+    assert _mean_doc(build, family, mu, p, max_tuples, sig) == want
+    return want
+
+
+def _powermean_family(family, mu, p, max_tuples):
+    return powermean(family[0], mu, p=p, max_tuples=max_tuples)
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_mean_documents_match_the_reference(self, seed, p):
+        """Constants, unary and binary functions and relations; members of
+        different sizes, some storing p-th powers; random charges (often with
+        zero weights), fubini products and powermeans; and at times faults:
+        a member missing a symbol, storing another exponent's powers, or a
+        product over the tuple cap."""
+        rng = random.Random(seed)
+        sig = rand_signature(rng)
+        extra = [function_symbol("G", 2, rng.choice([1, 2]))] if rng.random() < 0.4 else []
+        extra += [relation_symbol("S", 2, 1)] if rng.random() < 0.4 else []
+        sig = Signature(sig.symbols() + extra)
+        kind = rng.choice(["family", "fubini", "powermean"])
+        if kind == "fubini":
+            mu = fubini(rand_charge(rng, rng.randint(1, 2)), rand_charge(rng, rng.randint(1, 2)))
+        else:
+            mu = rand_charge(rng, rng.randint(1, 3))
+        if kind == "powermean":
+            family = [rand_structure(rng, sig, 3)] * len(mu.ids)
+        else:
+            family = [rand_structure(rng, sig, 3) for _ in mu.ids]
+        if p > 1:
+            family = [_powers(m, p) if rng.random() < 0.4 else m for m in family]
+        k = rng.randrange(len(family))
+        if sig.symbols() and rng.random() < 0.15:
+            family[k] = _without(family[k], rng.choice(sig.symbols()).name)
+        if rng.random() < 0.15:
+            family[k] = _powers(family[k], rng.choice([q for q in (2, 3) if q != p]))
+        size = 1
+        for m in family:
+            size *= len(m.points)
+        max_tuples = size - 1 if rng.random() < 0.15 else 4096
+        constant = kind == "powermean" and all(m is family[0] for m in family)
+        build = _powermean_family if constant else ultramean
+        _assert_same_mean(family, mu, p, sig, max_tuples, build)
+
+    def test_errors_come_in_the_reference_order(self):
+        """Size mismatch, symbols, exponent, tuple cap: each raised while
+        every later fault is also present."""
+        sig = Signature([constant_symbol("c")])
+        m = make_structure(["a", "b", "c"], {("a", "b"): 1}, constants={"c": "a"})
+        bare = _without(m, "c")
+        cubes = _powers(m, 3)
+        mu = uniform_charge(["i0", "i1"])
+        cases = [
+            ([], mu, 4096, "ValidationError", "family size 0 != charge index size 2"),
+            ([m, bare], mu, 4096, "ValidationError", "interpret different constants"),
+            ([cubes, bare], mu, 4, "ValidationError", "interpret different constants"),
+            ([m, cubes], mu, 4, "ValidationError", "stores 3-th powers"),
+            ([m, m], mu, 8, "UniverseCapError", "9 > 8 tuples"),
+        ]
+        for family, charge_, cap, kind, text in cases:
+            got = _assert_same_mean(family, charge_, 2, sig, cap)
+            assert got[0] == kind and text in got[1]
+
+    def test_a_function_not_well_defined_on_classes_fails_alike(self):
+        """Members are not validated: F tells apart two points at distance 0."""
+        sig = Signature([function_symbol("F", 1, 1)])
+        m = make_structure(
+            ["a", "b", "c"],
+            {("a", "b"): 0, ("a", "c"): 1, ("b", "c"): 1},
+            functions={"F": {("a",): "a", ("b",): "c", ("c",): "c"}},
+        )
+        got = _assert_same_mean([m, m], uniform_charge(["i0", "i1"]), 1, sig)
+        assert got == ("ValidationError", "function F not well-defined on classes at ('a|b',)")
+
+
+class TestMemberTables:
+    @pytest.mark.parametrize(
+        "functions, relations, message",
+        [
+            ({"F": {("a",): "a"}}, {}, "family member 1: function F is not a map on its points"),
+            ({"F": {("a",): "a", ("b",): "z"}}, {}, "function F is not a map on its points"),
+            ({}, {"P": {("a",): 0}}, "family member 1: relation P has gaps on its points"),
+            ({}, {"P": {("a", "a"): 0}}, "relation P has gaps on its points"),
+        ],
+    )
+    def test_a_member_table_the_mean_cannot_read_is_refused(self, functions, relations, message):
+        """A gap, a value that is no point, or another arity than the first
+        member's (the reference raised KeyError or named a non-point)."""
+        good = make_structure(
+            ["a", "b"], {("a", "b"): 1},
+            functions={"F": {("a",): "a", ("b",): "b"}} if functions else {},
+            relations={"P": {("a",): 0, ("b",): 1}} if relations else {},
+        )
+        bad = make_structure(["a", "b"], {("a", "b"): 1}, functions=functions, relations=relations)
+        with pytest.raises(ValidationError, match=message):
+            ultramean([good, bad], uniform_charge(["i0", "i1"]))

@@ -4,11 +4,14 @@
 arithmetic; `walk_oracle` does the same over the events of a finite
 probability algebra, with bitmask events and its own measure.  Both share
 no code with the table kernel.  `walk_validate` checks a structure pair by
-pair in Fractions, with a root-sum comparison per Lipschitz pair at p != 1;
-it shares only `leq_root_sum` (for the triangle check on stored powers) with
-`structures.validate`.  `walk_solve_lp` is the dense Fraction tableau that
-recomputes the reduced costs c_B B^-1 A on every iteration; it shares only
-`LPResult` and the status names with `lp.solve_lp`.
+pair in Fractions, with a root-sum comparison per Lipschitz pair at p != 1
+and per triangle on stored powers; it shares only `leq_root_sum` (the
+triangle check on stored powers at p >= 3) with `structures.validate`.
+`walk_solve_lp` is the dense Fraction tableau that recomputes the reduced
+costs c_B B^-1 A on every iteration; it shares only `LPResult` and the
+status names with `lp.solve_lp`.  `walk_ultramean` builds a mean entry by
+entry as weighted sums of Fractions and collapses it with
+`structures.quotient`; `ultramean.ultramean` shares neither.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from affinelogic.errors import EvalError, NotAffineError, SignatureError, ValidationError
+from affinelogic.errors import (
+    EvalError,
+    NotAffineError,
+    SignatureError,
+    UniverseCapError,
+    ValidationError,
+)
 from affinelogic.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from affinelogic.pra import FiniteAlgebra
 from affinelogic.structures import (
@@ -25,6 +34,8 @@ from affinelogic.structures import (
     ValidationReport,
     Violation,
     leq_root_sum,
+    make_structure,
+    quotient,
 )
 from affinelogic.syntax import (
     Const,
@@ -42,6 +53,16 @@ from affinelogic.syntax import (
     Term,
     Var,
 )
+from affinelogic.ultramean import DEFAULT_TUPLE_CAP, Charge, MeanStructure
+
+
+def _dist_power(m: FiniteStructure, a: str, b: str, p: int) -> Fraction:
+    """d(a,b)^p from the stored metric, which may hold q-th powers."""
+    if p == m.metric_power:
+        return m.d(a, b)
+    if m.metric_power == 1:
+        return m.d(a, b) ** p
+    raise EvalError(f"structure stores {m.metric_power}-th powers; cannot evaluate at exponent {p}")
 
 
 def walk_term(m: FiniteStructure, t: Term, asg: Mapping[str, str]) -> str:
@@ -79,7 +100,7 @@ def walk_formula(
         if isinstance(f, One):
             return Fraction(1)
         if isinstance(f, Dist):
-            return m.dist_power(walk_term(m, f.left, scope), walk_term(m, f.right, scope), p)
+            return _dist_power(m, walk_term(m, f.left, scope), walk_term(m, f.right, scope), p)
         if isinstance(f, Rel):
             vals = tuple(walk_term(m, a, scope) for a in f.args)
             try:
@@ -219,7 +240,10 @@ def walk_validate(
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
-                    if not leq_root_sum(m.metric[i][j], m.metric[i][k], m.metric[k][j], p):
+                    c, a, b = m.metric[i][j], m.metric[i][k], m.metric[k][j]
+                    if min(a, b, c) < 0:  # reported as metric-out-of-range; no root
+                        continue
+                    if not leq_root_sum(c, a, b, p):
                         v.append(
                             Violation(
                                 "triangle-violation",
@@ -229,7 +253,7 @@ def walk_validate(
                         )
 
     def tuple_power_dist(xs: tuple[str, ...], ys: tuple[str, ...]) -> Fraction:
-        return sum((m.dist_power(a, b, p) for a, b in zip(xs, ys)), Fraction(0))
+        return sum((_dist_power(m, a, b, p) for a, b in zip(xs, ys)), Fraction(0))
 
     for sym in sig.constants():
         if sym.name not in m.constants:
@@ -253,7 +277,7 @@ def walk_validate(
         lam = sym.lipschitz
         for xs in domain:
             for ys in domain:
-                lhs = m.dist_power(tab[xs], tab[ys], p)
+                lhs = _dist_power(m, tab[xs], tab[ys], p)
                 rhs = tuple_power_dist(xs, ys)
                 ok = (
                     leq_root_sum(lhs, rhs * lam**p, Fraction(0), p)
@@ -301,6 +325,101 @@ def walk_validate(
                     )
 
     return ValidationReport(v)
+
+
+def walk_ultramean(
+    family: Sequence[FiniteStructure],
+    mu: Charge,
+    p: int = 1,
+    max_tuples: int = DEFAULT_TUPLE_CAP,
+) -> MeanStructure:
+    """The mean of a family, entry by entry as weighted sums of Fractions."""
+    if len(family) != len(mu.ids):
+        raise ValidationError(
+            f"family size {len(family)} != charge index size {len(mu.ids)}"
+        )
+    if not family:
+        raise ValidationError("empty family")
+    names = {
+        "constants": [sorted(m.constants) for m in family],
+        "functions": [sorted(m.functions) for m in family],
+        "relations": [sorted(m.relations) for m in family],
+    }
+    for key, per_member in names.items():
+        if any(sym != per_member[0] for sym in per_member[1:]):
+            raise ValidationError(f"family members interpret different {key}")
+    for m in family:
+        if m.metric_power not in (1, p):
+            raise ValidationError(
+                f"family member stores {m.metric_power}-th powers; mean requested at exponent {p}"
+            )
+
+    size = 1
+    for m in family:
+        size *= len(m.points)
+        if size > max_tuples:
+            raise UniverseCapError(
+                f"product universe exceeds the cap ({size} > {max_tuples} tuples)"
+            )
+
+    weights = [mu.weight(i) for i in mu.ids]
+    tuples = list(itertools.product(*(m.points for m in family)))
+    ids = ["|".join(t) for t in tuples]
+    index = {t: i for i, t in enumerate(tuples)}
+
+    metric: dict[tuple[str, str], Fraction] = {}
+    for a_pos in range(len(tuples)):
+        a = tuples[a_pos]
+        for b_pos in range(a_pos + 1, len(tuples)):
+            b = tuples[b_pos]
+            entry = sum(
+                (
+                    w * _dist_power(m, x, y, p)
+                    for w, m, x, y in zip(weights, family, a, b)
+                ),
+                Fraction(0),
+            )
+            metric[(ids[a_pos], ids[b_pos])] = entry
+
+    constants = {
+        c: "|".join(tuple(m.constants[c] for m in family)) for c in family[0].constants
+    }
+    functions: dict[str, dict[tuple[str, ...], str]] = {}
+    for fname in family[0].functions:
+        arity = len(next(iter(family[0].functions[fname])))
+        tab: dict[tuple[str, ...], str] = {}
+        for args in itertools.product(tuples, repeat=arity):
+            value = tuple(
+                m.functions[fname][tuple(arg[k] for arg in args)]
+                for k, m in enumerate(family)
+            )
+            tab[tuple(ids[index[a]] for a in args)] = "|".join(value)
+        functions[fname] = tab
+    relations: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    for rname in family[0].relations:
+        arity = len(next(iter(family[0].relations[rname])))
+        tab_r: dict[tuple[str, ...], Fraction] = {}
+        for args in itertools.product(tuples, repeat=arity):
+            value = sum(
+                (
+                    w * m.relations[rname][tuple(arg[k] for arg in args)]
+                    for k, (w, m) in enumerate(zip(weights, family))
+                ),
+                Fraction(0),
+            )
+            tab_r[tuple(ids[index[a]] for a in args)] = value
+        relations[rname] = tab_r
+
+    pre = make_structure(ids, metric, constants, functions, relations, metric_power=p)
+    collapsed, rep_of = quotient(pre)
+    class_of = {t: rep_of["|".join(t)] for t in tuples}
+    return MeanStructure(
+        structure=collapsed,
+        charge=mu,
+        family_size=len(family),
+        class_of=class_of,
+        p=p,
+    )
 
 
 class _FractionTableau:
