@@ -11,6 +11,7 @@ error object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import sys
@@ -444,7 +445,10 @@ def _cmd_rendezvous(args, run: _Run) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, each call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="affinelogic",
         description="Workbench for affine continuous logic over finite metric structures.",

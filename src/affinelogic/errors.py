@@ -36,7 +36,8 @@ class ValidationError(AffineLogicError):
 
 
 class UniverseCapError(AffineLogicError):
-    """A mean construction would exceed the configured tuple cap."""
+    """Work would exceed a fixed cap: the tuples of a mean, the variables of
+    one quantifier elimination; refused before the work starts."""
 
 
 class UnsatisfiableError(AffineLogicError):

@@ -6,26 +6,40 @@ and the metric d(x,y) = mu(sym(x,y)).  Every quantifier-free formula is a
 rational constant plus a rational combination of measures of events; events
 are kept in minterm normal form over their minimal supporting variables.
 
-Elimination of sup_y works on the full minterm expansion over all variables
-in scope including y: writing the value as
+Elimination of sup_y works on the minterms of every variable in scope
+including y: writing the value as
 c + sum over minterms m of x-variables of [a+(m) mu(m & y) + a-(m) mu(m & ~y)],
 the measures mu(m & y) range independently over [0, mu(m)] as y ranges over
 the algebra, so the supremum is c + sum max(a+(m), a-(m)) mu(m), attained at
 y = union of the minterms with a+ > a-.  inf goes through
-inf_y phi = -sup_y(-phi).  A brute-force oracle over small finite algebras
-(quantifiers range over all events) adjudicates every rewrite.
+inf_y phi = -sup_y(-phi).
+
+The coefficients live in one list of 2^n ints over one denominator, n the
+size of the scope.  Positive-conjunction coefficients go to minterm
+coefficients by a zeta transform over the subset lattice and come back by a
+Möbius transform, n * 2^(n-1) integer additions each, so the result is a
+combination of measures of positive conjunctions, a unique normal form.
+Scopes above MAX_ELIMINATION_VARS variables are refused.  A brute-force
+oracle over small finite algebras (quantifiers range over all events)
+adjudicates every rewrite.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NotAffineError, SignatureError, ValidationError
-from .structures import FiniteStructure, eval_formula, make_structure, value_table
+from .errors import NotAffineError, SignatureError, UniverseCapError, ValidationError
+from .structures import (
+    FiniteStructure,
+    _over_common_denominator,
+    eval_formula,
+    make_structure,
+    value_table,
+)
 from .syntax import (
     App,
     Const,
@@ -194,15 +208,6 @@ def conjunction_event(names: Sequence[str]) -> EventTerm:
     return EventTerm(vs, frozenset({(1 << len(vs)) - 1}))
 
 
-def event_depends_positively(e: EventTerm, y: str) -> bool:
-    """True if y does not occur in e, or occurs only positively (every minterm
-    has the y bit set)."""
-    if y not in e.vars:
-        return True
-    bit = 1 << e.vars.index(y)
-    return all(m & bit for m in e.minterms)
-
-
 # ---------------------------------------------------------------------------
 # Quantifier-free measure combinations
 
@@ -257,87 +262,66 @@ def pra_neg(a: PraFormula) -> PraFormula:
     return pra_scale(Fraction(-1), a)
 
 
-def expand_inclusion_exclusion(event: EventTerm) -> PraFormula:
-    """Rewrite mu(event) as an integer combination of measures of positive
-    conjunctions (inclusion-exclusion over the minterm set), e.g.
-    mu(x or y) -> mu(x) + mu(y) - mu(x and y)."""
-    coeffs: dict[frozenset[str], Fraction] = {}
-    n = len(event.vars)
-    for m in event.minterms:
-        pos = [i for i in range(n) if m >> i & 1]
-        rest = [i for i in range(n) if not m >> i & 1]
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                key = frozenset(event.vars[i] for i in pos + list(extra))
-                coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction((-1) ** r)
-    atoms = [(c, conjunction_event(sorted(k))) for k, c in coeffs.items()]
-    return make_pra(0, atoms)
+# Largest elimination scope, the x-variables plus y: the vectors hold 2^n ints.
+MAX_ELIMINATION_VARS = 16
 
 
-def canonicalize(phi: PraFormula) -> PraFormula:
-    """Unique normal form: every event a positive conjunction.
-
-    Measures of positive conjunctions are linearly independent functionals on
-    finite algebras, so equal formulas get identical canonical forms.
-    """
-    out = make_pra(phi.constant, [])
-    for coeff, event in phi.atoms:
-        out = pra_add(out, pra_scale(coeff, expand_inclusion_exclusion(event)))
-    return out
-
-
-def split_on(phi: PraFormula, y: str) -> PraFormula:
-    """Refine atoms so y occurs positively or not at all in every event.
-
-    Each mu(e) with mixed occurrences of y becomes
-    mu(e & y) + [mu(f) - mu(f & y)] where f is the y-part of e with y freed;
-    overlapping pieces collapse, so the postcondition can undo the split
-    textually while the value is preserved on every algebra.
-    """
-    atoms: list[tuple[Fraction, EventTerm]] = []
-    yev = EventTerm.variable(y)
-    for coeff, event in phi.atoms:
-        if y not in event.vars:
-            atoms.append((coeff, event))
-            continue
-        bit = 1 << event.vars.index(y)
-        pos = frozenset(m for m in event.minterms if m & bit)
-        neg = frozenset(m for m in event.minterms if not m & bit)
-        if pos:
-            atoms.append((coeff, _reduce(event.vars, pos)))
-        if neg:
-            freed = _reduce(event.vars, neg | {m | bit for m in neg})
-            atoms.append((coeff, freed))
-            atoms.append((-coeff, event_and(freed, yev)))
-    result = make_pra(phi.constant, atoms)
-    assert all(event_depends_positively(e, y) for _, e in result.atoms)
-    return result
+def _subset_transform(f: list[int], n: int, op) -> None:
+    """In place over n-bit masks; op=operator.add is the zeta transform
+    f[m] <- sum of f[s] over s subset of m, op=operator.sub its inverse, the
+    Möbius transform f[m] <- sum of (-1)^|m - s| f[s].  Either is
+    n * 2^(n-1) integer operations."""
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                f[m] = op(f[m], f[m ^ bit])
 
 
 def eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
     """Exact supremum over all events y of a quantifier-free measure combination.
 
-    Internally refines all events to pairwise-disjoint minterms over every
-    variable in scope including y, then keeps the better of the y / not-y
-    coefficient for each minterm of the remaining variables.  The output
-    mentions only the other variables and is returned in canonical
-    (positive-conjunction) form.
+    Works on one vector of 2^n ints over one denominator, where the scope is
+    the other variables plus y (the top bit).  Each atom adds the
+    positive-conjunction coefficients of its event (a Möbius transform over
+    the event's own variables); a zeta transform gives the coefficients of
+    the minterms; each minterm of the other variables keeps the better of its
+    y and not-y coefficient; a Möbius transform returns to positive
+    conjunctions, the canonical form.  Raises UniverseCapError, before
+    allocating, when the scope exceeds MAX_ELIMINATION_VARS variables.
     """
     xvars = tuple(v for v in phi.variables if v != y)
-    scope = tuple(sorted(xvars)) + (y,)
-    ybit = 1 << (len(scope) - 1)
-    coeff: dict[int, Fraction] = {}
-    for c, event in phi.atoms:
-        for m in event.lift(scope):
-            coeff[m] = coeff.get(m, Fraction(0)) + c
-    atoms: list[tuple[Fraction, EventTerm]] = []
-    for mx in range(1 << len(xvars)):
-        a_pos = coeff.get(mx | ybit, Fraction(0))
-        a_neg = coeff.get(mx, Fraction(0))
-        best = max(a_pos, a_neg)
-        if best != 0:
-            atoms.append((best, _reduce(tuple(sorted(xvars)), frozenset({mx}))))
-    return canonicalize(make_pra(phi.constant, atoms))
+    n = len(xvars) + 1
+    if n > MAX_ELIMINATION_VARS:
+        raise UniverseCapError(
+            f"eliminating {y} would range over {n} variables; "
+            f"the cap is {MAX_ELIMINATION_VARS}"
+        )
+    bit = {v: 1 << i for i, v in enumerate(xvars + (y,))}
+    nums, den = _over_common_denominator([c for c, _ in phi.atoms])
+    f = [0] * (1 << n)
+    for num, (_, event) in zip(nums, phi.atoms):
+        k = len(event.vars)
+        own = [0] * (1 << k)
+        for m in event.minterms:
+            own[m] = 1
+        _subset_transform(own, k, operator.sub)
+        masks = [0]
+        for v in event.vars:
+            masks += [s | bit[v] for s in masks]
+        for s, a in zip(masks, own):
+            if a:
+                f[s] += num * a
+    _subset_transform(f, n, operator.add)  # now the minterm coefficients
+    half = 1 << (n - 1)
+    h = [max(g_pos, g_neg) for g_pos, g_neg in zip(f[half:], f[:half])]
+    _subset_transform(h, n - 1, operator.sub)
+    atoms = [
+        (Fraction(c, den), conjunction_event([v for i, v in enumerate(xvars) if s >> i & 1]))
+        for s, c in enumerate(h)
+        if c
+    ]
+    return make_pra(phi.constant, atoms)
 
 
 def qe(phi: Formula) -> PraFormula:

@@ -564,10 +564,40 @@ class _Lexer:
         return self.next()
 
 
+# Deepest input the parser accepts.  Tree walkers recurse once per level, at
+# two to four Python frames a level, so this keeps a parsed formula well
+# inside Python's default recursion limit of 1000.
+MAX_PARSE_DEPTH = 200
+
+
 class _Parser:
+    """Recursive descent that refuses input nested deeper than MAX_PARSE_DEPTH.
+
+    `open` counts the brackets, quantifier bodies and argument lists the
+    parser is inside, which bounds its own recursion.  `height` is the height
+    of the last node built, one more than its highest child, so each summand
+    of a left-nested Sum chain counts one level.  Both stay within the limit.
+    """
+
     def __init__(self, text: str, sig: Signature):
         self.lex = _Lexer(text)
         self.sig = sig
+        self.open = 0
+        self.height = 0
+
+    def _too_deep(self) -> ParseError:
+        return ParseError(f"input nested deeper than {MAX_PARSE_DEPTH} levels", self.lex.peek()[2])
+
+    def _enter(self) -> None:
+        self.open += 1
+        if self.open > MAX_PARSE_DEPTH:
+            raise self._too_deep()
+
+    def _built(self, node, height: int):
+        if height > MAX_PARSE_DEPTH:
+            raise self._too_deep()
+        self.height = height
+        return node
 
     # rational := ["-"] digits ["/" digits]
     def rational(self) -> Fraction:
@@ -594,6 +624,19 @@ class _Parser:
         r = Fraction(num, den)
         return -r if negative else r
 
+    def _args(self) -> tuple[list[Term], int]:
+        """Comma-separated terms up to the closing bracket, and their greatest height."""
+        self._enter()
+        args = [self.term()]
+        height = self.height
+        while self.lex.peek()[1] == ",":
+            self.lex.next()
+            args.append(self.term())
+            height = max(height, self.height)
+        self.lex.expect(")")
+        self.open -= 1
+        return args, height
+
     def term(self) -> Term:
         kind, val, pos = self.lex.peek()
         if kind != "ident" or val in RESERVED_WORDS:
@@ -601,11 +644,7 @@ class _Parser:
         self.lex.next()
         if self.lex.peek()[1] == "(":
             self.lex.next()
-            args = [self.term()]
-            while self.lex.peek()[1] == ",":
-                self.lex.next()
-                args.append(self.term())
-            self.lex.expect(")")
+            args, height = self._args()
             sym = self.sig.get(val) if self.sig.has(val) else None
             if sym is None:
                 raise SignatureError(f"unknown function symbol {val!r}")
@@ -613,26 +652,28 @@ class _Parser:
                 raise SignatureError(f"{val} is a {sym.kind}, not a function")
             if len(args) != sym.arity:
                 raise SignatureError(f"{val} expects {sym.arity} arguments, got {len(args)}")
-            return App(val, tuple(args), sym.lipschitz)
+            return self._built(App(val, tuple(args), sym.lipschitz), height + 1)
         if self.sig.has(val):
             sym = self.sig.get(val)
             if sym.kind == "constant":
-                return Const(val)
+                return self._built(Const(val), 1)
             raise SignatureError(f"{sym.kind} symbol {val} used without arguments")
-        return Var(val)
+        return self._built(Var(val), 1)
 
     def prim(self) -> Formula:
         kind, val, pos = self.lex.peek()
         if val == "(":
             self.lex.next()
+            self._enter()
             phi = self.formula()
+            self.open -= 1
             self.lex.expect(")")
             return phi
         if kind == "num":
             if val != "1":
                 raise ParseError(f"numeric literal {val} is not a formula; write {val}*1", pos)
             self.lex.next()
-            return ONE
+            return self._built(ONE, 1)
         if val in ("sup", "inf"):
             self.lex.next()
             kind2, name, pos2 = self.lex.peek()
@@ -642,32 +683,38 @@ class _Parser:
                 raise ParseError(f"cannot bind declared symbol {name!r}", pos2)
             self.lex.next()
             self.lex.expect(".")
+            self._enter()
             body = self.formula()  # quantifiers scope as far right as possible
-            return Sup(name, body) if val == "sup" else Inf(name, body)
+            self.open -= 1
+            node = Sup(name, body) if val == "sup" else Inf(name, body)
+            return self._built(node, self.height + 1)
         if val in ("min", "max"):
             self.lex.next()
             self.lex.expect("(")
+            self._enter()
             left = self.formula()
+            height = self.height
             self.lex.expect(",")
             right = self.formula()
+            self.open -= 1
             self.lex.expect(")")
-            return Min(left, right) if val == "min" else Max(left, right)
+            node = Min(left, right) if val == "min" else Max(left, right)
+            return self._built(node, max(height, self.height) + 1)
         if val == "d":
             self.lex.next()
             self.lex.expect("(")
+            self._enter()
             t1 = self.term()
+            height = self.height
             self.lex.expect(",")
             t2 = self.term()
+            self.open -= 1
             self.lex.expect(")")
-            return Dist(t1, t2)
+            return self._built(Dist(t1, t2), max(height, self.height) + 1)
         if kind == "ident":
             self.lex.next()
             self.lex.expect("(")
-            args = [self.term()]
-            while self.lex.peek()[1] == ",":
-                self.lex.next()
-                args.append(self.term())
-            self.lex.expect(")")
+            args, height = self._args()
             if not self.sig.has(val):
                 raise SignatureError(f"unknown relation symbol {val!r}")
             sym = self.sig.get(val)
@@ -675,7 +722,7 @@ class _Parser:
                 raise SignatureError(f"{val} is a {sym.kind}, not a relation here")
             if len(args) != sym.arity:
                 raise SignatureError(f"{val} expects {sym.arity} arguments, got {len(args)}")
-            return Rel(val, tuple(args), sym.lipschitz)
+            return self._built(Rel(val, tuple(args), sym.lipschitz), height + 1)
         raise ParseError(f"expected a formula, found {val or 'end of input'!r}", pos)
 
     def prod(self) -> Formula:
@@ -686,20 +733,25 @@ class _Parser:
         if starts_rational:
             r = self.rational()
             self.lex.expect("*")
-            return Scale(r, self.prim())
+            body = self.prim()
+            return self._built(Scale(r, body), self.height + 1)
         return self.prim()
 
     def formula(self) -> Formula:
         phi = self.prod()
+        height = self.height
         while self.lex.peek()[1] in ("+", "-"):
             op = self.lex.next()[1]
             rhs = self.prod()
+            rhs_height = self.height
             if op == "-":
                 if isinstance(rhs, Scale):
                     rhs = Scale(-rhs.coeff, rhs.body)
                 else:
                     rhs = Scale(Fraction(-1), rhs)
-            phi = Sum(phi, rhs)
+                    rhs_height += 1
+            phi = self._built(Sum(phi, rhs), max(height, rhs_height) + 1)
+            height = self.height
         return phi
 
     def condition(self) -> Condition:

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from affinelogic.pra import algebra, pra_signature, structure_from_algebra
+from affinelogic import cli
+from affinelogic.pra import MAX_ELIMINATION_VARS, algebra, pra_signature, structure_from_algebra
 from affinelogic.serialize import (
     charge_to_doc,
     dump_json,
@@ -280,6 +282,24 @@ class TestQe:
         doc = json.loads(r.stdout)
         assert doc["constant"] == "0"
 
+    def test_elimination_over_too_many_variables_exits_2_at_once(self, capsys):
+        names = [f"x{i}" for i in range(MAX_ELIMINATION_VARS)]
+        formula = "sup y. " + " + ".join(f"mu({v})" for v in names + ["y"])
+        start = time.perf_counter()
+        assert cli.main(["qe", formula]) == 2
+        assert time.perf_counter() - start < 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "UniverseCapError"
+
+    def test_independent_parts_may_name_more_variables_than_the_cap(self):
+        n = MAX_ELIMINATION_VARS // 2 + 1
+        formula = " + ".join(f"(sup y{i}. mu(and(x{i},y{i})))" for i in range(n))
+        r = run("qe", formula, "--oracle", "1")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["result"] == " + ".join(f"mu(x{i})" for i in range(n))
+        assert doc["oracle"] == {"verified": True, "algebras": 1, "evaluations": 2**n}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -433,13 +453,67 @@ class TestValidateCommand:
         ]
 
 
-class TestInternalError:
-    def test_deep_formula_exits_3_with_json_error(self, workdir):
-        formula = " + ".join(["d(x,y)"] * 1000)
-        r = run("eval", str(workdir / "two_point.json"), formula,
-                "--assign", "x=a", "--assign", "y=b")
-        assert r.returncode == 3
+class TestDeepInput:
+    FORMULA = " + ".join(["d(x,y)"] * 1000)
+
+    def _assert_parse_error(self, r):
+        assert r.returncode == 2
         assert "Traceback" not in r.stderr
         err = json.loads(r.stderr)["error"]
-        assert err["type"] == "internal"
-        assert err["exception"] == "RecursionError"
+        assert err["type"] == "ParseError"
+        assert "nested deeper than" in err["message"]
+
+    def test_deep_formula_exits_2_with_json_error_on_eval(self, workdir):
+        r = run("eval", str(workdir / "two_point.json"), self.FORMULA,
+                "--assign", "x=a", "--assign", "y=b")
+        self._assert_parse_error(r)
+
+    def test_deep_formula_exits_2_with_json_error_on_qe(self):
+        self._assert_parse_error(run("qe", self.FORMULA))
+
+
+class TestInternalError:
+    def test_runtime_error_exits_3_with_json_error(self, workdir, monkeypatch, capsys):
+        def broken(args, run):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setitem(cli._COMMANDS, "rendezvous", broken)
+        code = cli.main(["rendezvous", str(workdir / "two_point.json"), "--n", "2"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {
+            "type": "internal",
+            "exception": "RuntimeError",
+            "message": "broken on purpose",
+        }
+
+
+class TestOneProcess:
+    """cli.main called repeatedly in one process, as the benchmark does."""
+
+    def _main(self, capsys, *argv):
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        return code, out
+
+    def test_calls_match_fresh_processes_and_keep_no_options(self, workdir, capsys):
+        two = str(workdir / "two_point.json")
+        calls = [
+            ["eval", two, "d(x,y)", "--assign", "x=a", "--assign", "y=b", "--decimal"],
+            ["qe", "sup y. mu(and(x,y))", "--oracle", "1"],
+            ["eval", two, "d(x,y)", "--assign", "x=a", "--assign", "y=a"],
+            ["qe", "sup y. mu(and(x,y))"],
+        ]
+        for argv in calls:
+            fresh = run(*argv)
+            assert self._main(capsys, *argv) == (fresh.returncode, fresh.stdout)
+        # the later calls saw neither --decimal, the earlier --assign nor --oracle 1
+        assert self._main(capsys, *calls[2]) == (0, "0\n")
+        assert json.loads(self._main(capsys, *calls[3])[1])["oracle"]["algebras"] == 6
+
+    def test_usage_error_still_exits_2(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(workdir / "two_point.json")])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert self._main(capsys, "qe", "sup y. mu(and(x,y))")[0] == 0

@@ -1,8 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from affinelogic import pra
 from affinelogic.pra import (
     EventTerm,
     algebra,
@@ -10,19 +14,22 @@ from affinelogic.pra import (
     eliminate_sup,
     event_from_term,
     event_not,
-    event_depends_positively,
-    expand_inclusion_exclusion,
     format_pra,
     make_pra,
     oracle_eval,
     pra_signature,
     qe,
-    split_on,
     structure_from_algebra,
     weight_grid,
 )
 from affinelogic.structures import validate
 from affinelogic.syntax import parse_formula, parse_term
+from walkers import (
+    event_depends_positively,
+    expand_inclusion_exclusion,
+    split_on,
+    walk_eliminate_sup,
+)
 
 SIG = pra_signature()
 
@@ -175,6 +182,65 @@ class TestEliminateSup:
                         oracle_eval(phi, alg, {**asg, "y": ev}) for ev in alg.events()
                     )
                     assert oracle_eval(out, alg, asg) == direct
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+DIFFERENTIAL = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+DENOMINATORS = [1, 2, 3, 4, 6]
+
+
+def _rand_event(rng, names, depth):
+    """Event text over `names` built with and/or/sym/not."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(names)
+    op = rng.choice(["and", "or", "sym", "not"])
+    if op == "not":
+        return f"not({_rand_event(rng, names, depth - 1)})"
+    return f"{op}({_rand_event(rng, names, depth - 1)},{_rand_event(rng, names, depth - 1)})"
+
+
+def _rand_coeff(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
+
+
+@DIFFERENTIAL
+@given(SEEDS)
+def test_eliminate_sup_matches_walker(seed):
+    rng = random.Random(seed)
+    names = ["x", "y", "z", "u", "v", "w"][: rng.randint(1, 6)]
+    atoms = [(_rand_coeff(rng), event(_rand_event(rng, names, 3))) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.3:  # mu(a) + mu(b) - mu(a or b) - mu(a and b) cancels on every algebra
+        a, b = _rand_event(rng, names, 2), _rand_event(rng, names, 2)
+        c = _rand_coeff(rng)
+        atoms += [(c, event(a)), (c, event(b)), (-c, event(f"or({a},{b})")), (-c, event(f"and({a},{b})"))]
+    phi = make_pra(_rand_coeff(rng), atoms)
+    y = rng.choice(names + ["q"])  # q never occurs in phi
+    assert eliminate_sup(phi, y) == walk_eliminate_sup(phi, y)
+
+
+def _rand_nested(rng, names, depth):
+    """Formula text mixing sup/inf, rebinding names and summing quantified
+    and quantifier-free parts."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if rng.random() < 0.3:
+            return f"{_rand_coeff(rng)}*d({rng.choice(names)},{_rand_event(rng, names, 1)})"
+        return f"{_rand_coeff(rng)}*mu({_rand_event(rng, names, 2)})"
+    if r < 0.6:
+        return f"{rng.choice(['sup', 'inf'])} {rng.choice(names)}. {_rand_nested(rng, names, depth - 1)}"
+    parts = [_rand_nested(rng, names, depth - 1) for _ in range(rng.randint(2, 3))]
+    return " + ".join(f"({part})" for part in parts)
+
+
+@DIFFERENTIAL
+@given(SEEDS)
+def test_qe_output_matches_walker_elimination(seed):
+    rng = random.Random(seed)
+    names = ["x", "y", "z", "u"][: rng.randint(1, 4)]
+    phi = formula(_rand_nested(rng, names, 4))
+    with mock.patch.object(pra, "eliminate_sup", walk_eliminate_sup):
+        want = format_pra(qe(phi))
+    assert format_pra(qe(phi)) == want
 
 
 class TestQE:

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinelogic.errors import CaptureError, ParseError, SignatureError
+from affinelogic.pra import algebra, pra_signature, qe, structure_from_algebra
+from affinelogic.structures import value_table
 from affinelogic.syntax import (
+    MAX_PARSE_DEPTH,
     Condition,
     Dist,
     Inf,
@@ -95,6 +98,38 @@ class TestParsing:
         assert isinstance(cond, Condition)
         assert cond.rhs == ZERO
         assert not cond.closed
+
+
+def _deep(shape, n):
+    """A probability-algebra formula n levels deep."""
+    if shape == "sum":  # n - 1 summands of height 2 under n - 2 Sum nodes
+        return " + ".join(["d(x,y)"] * (n - 1))
+    if shape == "quantifiers":
+        return "".join("sup x. " if i % 2 else "inf y. " for i in range(n - 2)) + "d(x,y)"
+    if shape == "terms":
+        return "mu(" + "not(" * (n - 2) + "x" + ")" * (n - 1)
+    if shape == "scales":
+        return "-1*(" * (n - 2) + "d(x,y)" + ")" * (n - 2)
+    return "(" * (n - 1) + "d(x,y)" + ")" * (n - 1)  # n brackets open at once
+
+
+class TestDepthLimit:
+    SHAPES = ["sum", "quantifiers", "terms", "scales", "brackets"]
+    PRA = pra_signature()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_walker_succeeds_at_the_limit(self, shape):
+        phi = parse_formula(_deep(shape, MAX_PARSE_DEPTH), self.PRA)
+        free = sorted(phi.free)
+        m = structure_from_algebra(algebra(["1/2", "1/2"]))
+        assert len(value_table(m, phi, free)) == len(m.points) ** len(free)
+        qe(phi)
+        assert parse_formula(format_formula(phi), self.PRA) == phi
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_deeper_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_PARSE_DEPTH} levels"):
+            parse_formula(_deep(shape, MAX_PARSE_DEPTH + 1), self.PRA)
 
 
 class TestRoundTrip:

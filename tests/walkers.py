@@ -12,6 +12,13 @@ costs c_B B^-1 A on every iteration; it shares only `LPResult` and the
 status names with `lp.solve_lp`.  `walk_ultramean` builds a mean entry by
 entry as weighted sums of Fractions and collapses it with
 `structures.quotient`; `ultramean.ultramean` shares neither.
+`walk_eliminate_sup` eliminates sup_y on the minterms of every variable in
+scope, keeping one Fraction per minterm, and turns the result back into
+positive conjunctions atom by atom by inclusion-exclusion
+(`canonicalize`); `pra.eliminate_sup` runs integer zeta and Möbius
+transforms instead and shares only the event and formula types with it.
+`split_on` and `event_depends_positively` are the older refinement step,
+kept for its tests.
 """
 
 from __future__ import annotations
@@ -28,7 +35,17 @@ from affinelogic.errors import (
     ValidationError,
 )
 from affinelogic.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
-from affinelogic.pra import FiniteAlgebra
+from affinelogic.pra import (
+    EventTerm,
+    FiniteAlgebra,
+    PraFormula,
+    _reduce,
+    conjunction_event,
+    event_and,
+    make_pra,
+    pra_add,
+    pra_scale,
+)
 from affinelogic.structures import (
     FiniteStructure,
     ValidationReport,
@@ -580,3 +597,99 @@ def walk_solve_lp(
         dual_ub=dual_ub,
         dual_eq=dual_eq,
     )
+
+
+# ---------------------------------------------------------------------------
+# Quantifier elimination on minterms, one Fraction at a time
+
+
+def event_depends_positively(e: EventTerm, y: str) -> bool:
+    """True if y does not occur in e, or occurs only positively (every minterm
+    has the y bit set)."""
+    if y not in e.vars:
+        return True
+    bit = 1 << e.vars.index(y)
+    return all(m & bit for m in e.minterms)
+
+
+def expand_inclusion_exclusion(event: EventTerm) -> PraFormula:
+    """Rewrite mu(event) as an integer combination of measures of positive
+    conjunctions (inclusion-exclusion over the minterm set), e.g.
+    mu(x or y) -> mu(x) + mu(y) - mu(x and y)."""
+    coeffs: dict[frozenset[str], Fraction] = {}
+    n = len(event.vars)
+    for m in event.minterms:
+        pos = [i for i in range(n) if m >> i & 1]
+        rest = [i for i in range(n) if not m >> i & 1]
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                key = frozenset(event.vars[i] for i in pos + list(extra))
+                coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction((-1) ** r)
+    atoms = [(c, conjunction_event(sorted(k))) for k, c in coeffs.items()]
+    return make_pra(0, atoms)
+
+
+def canonicalize(phi: PraFormula) -> PraFormula:
+    """Unique normal form: every event a positive conjunction.
+
+    Measures of positive conjunctions are linearly independent functionals on
+    finite algebras, so equal formulas get identical canonical forms.
+    """
+    out = make_pra(phi.constant, [])
+    for coeff, event in phi.atoms:
+        out = pra_add(out, pra_scale(coeff, expand_inclusion_exclusion(event)))
+    return out
+
+
+def split_on(phi: PraFormula, y: str) -> PraFormula:
+    """Refine atoms so y occurs positively or not at all in every event.
+
+    Each mu(e) with mixed occurrences of y becomes
+    mu(e & y) + [mu(f) - mu(f & y)] where f is the y-part of e with y freed;
+    overlapping pieces collapse, so the postcondition can undo the split
+    textually while the value is preserved on every algebra.
+    """
+    atoms: list[tuple[Fraction, EventTerm]] = []
+    yev = EventTerm.variable(y)
+    for coeff, event in phi.atoms:
+        if y not in event.vars:
+            atoms.append((coeff, event))
+            continue
+        bit = 1 << event.vars.index(y)
+        pos = frozenset(m for m in event.minterms if m & bit)
+        neg = frozenset(m for m in event.minterms if not m & bit)
+        if pos:
+            atoms.append((coeff, _reduce(event.vars, pos)))
+        if neg:
+            freed = _reduce(event.vars, neg | {m | bit for m in neg})
+            atoms.append((coeff, freed))
+            atoms.append((-coeff, event_and(freed, yev)))
+    result = make_pra(phi.constant, atoms)
+    assert all(event_depends_positively(e, y) for _, e in result.atoms)
+    return result
+
+
+def walk_eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
+    """Exact supremum over all events y of a quantifier-free measure combination.
+
+    Internally refines all events to pairwise-disjoint minterms over every
+    variable in scope including y, then keeps the better of the y / not-y
+    coefficient for each minterm of the remaining variables.  The output
+    mentions only the other variables and is returned in canonical
+    (positive-conjunction) form.
+    """
+    xvars = tuple(v for v in phi.variables if v != y)
+    scope = tuple(sorted(xvars)) + (y,)
+    ybit = 1 << (len(scope) - 1)
+    coeff: dict[int, Fraction] = {}
+    for c, event in phi.atoms:
+        for m in event.lift(scope):
+            coeff[m] = coeff.get(m, Fraction(0)) + c
+    atoms: list[tuple[Fraction, EventTerm]] = []
+    for mx in range(1 << len(xvars)):
+        a_pos = coeff.get(mx | ybit, Fraction(0))
+        a_neg = coeff.get(mx, Fraction(0))
+        best = max(a_pos, a_neg)
+        if best != 0:
+            atoms.append((best, _reduce(tuple(sorted(xvars)), frozenset({mx}))))
+    return canonicalize(make_pra(phi.constant, atoms))
