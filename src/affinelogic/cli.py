@@ -175,11 +175,8 @@ def _cmd_mean(args, run: _Run) -> int:
         if phi.free:
             raise InputError("--check-ultramean needs a sentence (no free variables)")
         mean_value = eval_formula(mean.structure, phi, None, args.p)
-        weighted = sum(
-            (mu.weight(i) * eval_formula(m, phi, None, args.p)
-             for i, m in zip(mu.ids, structures)),
-            Fraction(0),
-        )
+        values = [eval_formula(m, phi, None, args.p) for m in structures]
+        weighted = sum((mu.weight(i) * v for i, v in zip(mu.ids, values)), Fraction(0))
         if mean_value != weighted:
             raise AffineLogicError(
                 f"ultramean identity failed: mean value {mean_value} != weighted sum {weighted}"
@@ -187,18 +184,13 @@ def _cmd_mean(args, run: _Run) -> int:
         print(
             f"ultramean-check pass: {fraction_str(mean_value)} = "
             + " + ".join(
-                f"{fraction_str(mu.weight(i))}*{fraction_str(eval_formula(m, phi, None, args.p))}"
-                for i, m in zip(mu.ids, structures)
+                f"{fraction_str(mu.weight(i))}*{fraction_str(v)}" for i, v in zip(mu.ids, values)
             )
         )
-        if args.out:
-            dump_json(doc, args.out)
-            run.record_output(args.out)
-        return 0
     if args.out:
         dump_json(doc, args.out)
         run.record_output(args.out)
-    else:
+    elif not args.check_ultramean:
         _emit(doc)
     return 0
 
@@ -362,6 +354,8 @@ def _cmd_types(args, run: _Run) -> int:
 
 
 def _cmd_qe(args, run: _Run) -> int:
+    if args.oracle < 1:
+        raise InputError(f"--oracle needs at least 1 atom, got {args.oracle}")
     sig = pra.pra_signature()
     phi = parse_formula(args.formula, sig)
     result = pra.qe(phi)

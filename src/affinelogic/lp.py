@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .syntax import over_common_denominator
+
 Row = Sequence[Fraction]
 
 OPTIMAL = "optimal"
@@ -43,21 +45,6 @@ class LPResult:
     dual_eq: list[Fraction] | None = None
     farkas_ub: list[Fraction] | None = None
     farkas_eq: list[Fraction] | None = None
-
-
-def _int_row(values: Sequence) -> tuple[list[int], int]:
-    """(nums, den) with values == nums / den and den the lcm of the denominators."""
-    pairs = []
-    for v in values:
-        try:
-            pairs.append((v.numerator, v.denominator))
-        except AttributeError:  # not a Rational: take its exact value
-            f = Fraction(v)
-            pairs.append((f.numerator, f.denominator))
-    den = lcm(*(q for _, q in pairs))
-    if den == 1:
-        return [p for p, _ in pairs], 1
-    return [p * (den // q) for p, q in pairs], den
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -147,7 +134,7 @@ def solve_lp(
     dens: list[int] = []
     signs: list[int] = []
     for i, (a, b) in enumerate((*zip(A_ub, b_ub), *zip(A_eq, b_eq))):
-        nums, den = _int_row([*a, b])
+        nums, den = over_common_denominator([*a, b])
         sign = -1 if nums[-1] < 0 else 1
         row = [0] * width
         row[:n] = [sign * v for v in nums[:n]]
@@ -168,7 +155,7 @@ def solve_lp(
         phase1 = [s - k * v for s, v in zip(phase1, row)]
     phase1[n_real:n_real + m] = [0] * m
     phase1.append(d1)
-    c_nums, c_den = _int_row(c)
+    c_nums, c_den = over_common_denominator(c)
     phase2 = c_nums + [0] * (width - n) + [c_den]
 
     tab = _Tableau(rows, [_primitive(phase1), phase2], n_real)

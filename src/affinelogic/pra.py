@@ -35,7 +35,6 @@ from typing import Mapping, Sequence
 from .errors import NotAffineError, SignatureError, UniverseCapError, ValidationError
 from .structures import (
     FiniteStructure,
-    _over_common_denominator,
     eval_formula,
     make_structure,
     value_table,
@@ -57,6 +56,7 @@ from .syntax import (
     constant_symbol,
     format_fraction,
     function_symbol,
+    over_common_denominator,
     relation_symbol,
 )
 
@@ -298,7 +298,7 @@ def eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
             f"the cap is {MAX_ELIMINATION_VARS}"
         )
     bit = {v: 1 << i for i, v in enumerate(xvars + (y,))}
-    nums, den = _over_common_denominator([c for c, _ in phi.atoms])
+    nums, den = over_common_denominator([c for c, _ in phi.atoms])
     f = [0] * (1 << n)
     for num, (_, event) in zip(nums, phi.atoms):
         k = len(event.vars)

@@ -141,10 +141,8 @@ def _excess_matrix(
     conds: Sequence[Condition], family: Sequence[FiniteStructure], p: int
 ) -> list[list[Fraction]]:
     """g[j][i] = (lhs_j - rhs_j)^{M_i}; condition j holds in M_i iff it is <= 0."""
-    return [
-        [eval_formula(m, c.lhs, None, p) - eval_formula(m, c.rhs, None, p) for m in family]
-        for c in conds
-    ]
+    margins = value_matrix(family, [c.margin for c in conds], p).values
+    return [[-v for v in col] for col in zip(*margins)]
 
 
 def _raise_if_unsat(theory: Theory, family: Sequence[FiniteStructure], p: int) -> None:
@@ -188,10 +186,7 @@ def consequence_margin(
         _require_affine_conditions([target], "consequence margins")
         if not target.closed:
             raise ValidationError("target condition must be closed")
-        c_obj = [
-            eval_formula(m, target.rhs, None, p) - eval_formula(m, target.lhs, None, p)
-            for m in family
-        ]
+        c_obj = [row[0] for row in value_matrix(family, [target.margin], p).values]
     except AffineLogicError:
         _raise_if_unsat(theory, family, p)  # an unsatisfiable theory is reported first
         raise

@@ -49,6 +49,23 @@ def dump_json(doc: Any, path: str | Path | None = None) -> str:
     return text
 
 
+def _expect(value: Any, kind: type, where: str) -> Any:
+    """value, which the document must give as a JSON list (kind=list) or object (dict)."""
+    if not isinstance(value, kind):
+        shape = "a list" if kind is list else "an object"
+        raise InputError(f"{where} must be {shape}, got {type(value).__name__}")
+    return value
+
+
+def _int(value: Any, where: str) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{where} must be an integer, got {value!r}")
+
+
 def _frac(value: Any, where: str) -> Fraction:
     if isinstance(value, str) or isinstance(value, int):
         try:
@@ -80,15 +97,17 @@ def signature_from_doc(doc: Any) -> Signature:
     if not isinstance(doc, dict) or "symbols" not in doc:
         raise InputError("signature document needs a 'symbols' list")
     syms = []
-    for item in doc["symbols"]:
-        kind = item.get("kind")
-        lip = item.get("lipschitz", "0")
+    for item in _expect(doc["symbols"], list, "signature symbols"):
+        item = _expect(item, dict, "signature symbol")
+        name = item.get("name", "")
+        if not isinstance(name, str):
+            raise InputError(f"symbol name must be a string, got {name!r}")
         syms.append(
             Symbol(
-                item.get("name", ""),
-                kind,
-                int(item.get("arity", 0)),
-                _frac(lip, f"symbol {item.get('name')}"),
+                name,
+                item.get("kind"),
+                _int(item.get("arity", 0), f"symbol {name}: arity"),
+                _frac(item.get("lipschitz", "0"), f"symbol {name}"),
             )
         )
     return Signature(syms)
@@ -134,9 +153,9 @@ def structure_to_doc(
 
 def _table_rows(table: Any, what: str) -> list:
     """A table's rows, each its args then its value, all of one length."""
-    rows = list(table)
+    rows = _expect(table, list, what)
     for row in rows:
-        if len(row) < 2:
+        if not isinstance(row, list) or len(row) < 2:
             raise InputError(f"{what}: table rows need args and a value")
         if len(row) != len(rows[0]):
             raise InputError(
@@ -149,10 +168,13 @@ def structure_from_doc(doc: Any) -> tuple[FiniteStructure, Signature | None]:
     if not isinstance(doc, dict):
         raise InputError("structure document must be a JSON object")
     try:
-        points = [str(p) for p in doc["points"]]
-        flat = doc["metric"]
+        points = [str(p) for p in _expect(doc["points"], list, "points")]
+        flat = _expect(doc["metric"], list, "metric")
     except KeyError as exc:
         raise InputError(f"structure document is missing {exc}") from None
+    power = _int(doc.get("metric_power", 1), "metric_power")
+    if power < 1:
+        raise InputError(f"metric_power must be at least 1, got {power}")
     n = len(points)
     if len(flat) != n * n:
         raise InputError(f"metric must have {n}*{n} row-major entries, got {len(flat)}")
@@ -161,13 +183,13 @@ def structure_from_doc(doc: Any) -> tuple[FiniteStructure, Signature | None]:
         for i in range(n)
     )
     functions = {}
-    for fname, table in (doc.get("functions") or {}).items():
+    for fname, table in _expect(doc.get("functions") or {}, dict, "functions").items():
         tab = {}
         for row in _table_rows(table, f"function {fname}"):
             tab[tuple(map(str, row[:-1]))] = str(row[-1])
         functions[fname] = tab
     relations = {}
-    for rname, table in (doc.get("relations") or {}).items():
+    for rname, table in _expect(doc.get("relations") or {}, dict, "relations").items():
         tab_r = {}
         for row in _table_rows(table, f"relation {rname}"):
             tab_r[tuple(map(str, row[:-1]))] = _frac(row[-1], f"relation {rname}")
@@ -175,10 +197,13 @@ def structure_from_doc(doc: Any) -> tuple[FiniteStructure, Signature | None]:
     m = FiniteStructure(
         points=tuple(points),
         metric=rows,
-        constants={str(k): str(v) for k, v in (doc.get("constants") or {}).items()},
+        constants={
+            str(k): str(v)
+            for k, v in _expect(doc.get("constants") or {}, dict, "constants").items()
+        },
         functions=functions,
         relations=relations,
-        metric_power=int(doc.get("metric_power", 1)),
+        metric_power=power,
     )
     sig = signature_from_doc(doc["signature"]) if "signature" in doc else None
     return m, sig

@@ -86,15 +86,13 @@ def circle(n: int, metric: str = "geodesic") -> FiniteStructure:
     raise ValueError(f"unknown circle metric {metric!r}")
 
 
-def sphere(n: int, metric: str = "chord") -> FiniteStructure:
+def sphere(n: int) -> FiniteStructure:
     """About-n-point discretization of the 2-sphere, chord metric, diameter 1.
 
     Half the points come from a Fibonacci lattice, the other half are their
     antipodes (n is rounded up to an even count), so antipodal pairs at
     distance exactly 1 are present.
     """
-    if metric != "chord":
-        raise ValueError("only the chord metric is provided for the sphere")
     half = (n + 1) // 2
     with mpmath.workdps(30):
         golden = (1 + mpmath.sqrt(5)) / 2

@@ -34,6 +34,7 @@ from .syntax import (
     Sup,
     Term,
     Var,
+    over_common_denominator,
 )
 
 Assignment = Mapping[str, str]
@@ -376,7 +377,7 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
         if any(args not in tab for args in domain):
             continue
         # read over the signature's domain: the view's cells follow the table's first key
-        vals, rden = _over_common_denominator([tab[xs] for xs in domain])
+        vals, rden = over_common_denominator([tab[xs] for xs in domain])
         if max(vals) == min(vals):  # no positive difference to bound
             continue
         lam = sym.lipschitz
@@ -432,12 +433,6 @@ class IntView:
     constants: dict[str, int]
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, den) with values[i] == ints[i] / den and den the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _rows(flat: list[int], n: int) -> list[list[int]]:
     """A flat n*n metric view as n rows."""
     return [flat[i * n : (i + 1) * n] for i in range(n)]
@@ -456,7 +451,7 @@ def _build_int_view(m: FiniteStructure, p: int) -> IntView:
         return arity, [tab.get(args) for args in itertools.product(m.points, repeat=arity)]
 
     rel_cells = {name: cells(tab) for name, tab in m.relations.items()}
-    ints, den = _over_common_denominator(
+    ints, den = over_common_denominator(
         list(metric or ())
         + [v for _, vals in rel_cells.values() for v in vals if v is not None]
     )
@@ -693,7 +688,7 @@ def check_condition(
     p: int = 1,
 ) -> tuple[bool, Fraction]:
     """Evaluate a condition; returns (holds, margin) with margin = rhs - lhs."""
-    margin = eval_formula(m, cond.rhs, asg, p) - eval_formula(m, cond.lhs, asg, p)
+    margin = eval_formula(m, cond.margin, asg, p)
     return margin >= 0, margin
 
 
@@ -702,8 +697,7 @@ def holds_universally(m: FiniteStructure, cond: Condition, p: int = 1) -> tuple[
 
     Returns (holds, worst margin over assignments).
     """
-    margin = Sum(cond.rhs, Scale(Fraction(-1), cond.lhs))
-    cells, den = _value_ints(m, margin, sorted(cond.free), p, None)
+    cells, den = _value_ints(m, cond.margin, sorted(cond.free), p, None)
     worst = Fraction(min(cells), den)
     return worst >= 0, worst
 
@@ -713,65 +707,19 @@ def holds_universally(m: FiniteStructure, cond: Condition, p: int = 1) -> tuple[
 
 
 def quotient(m: FiniteStructure) -> tuple[FiniteStructure, dict[str, str]]:
-    """Identify points at stored distance 0.
+    """Identify points at stored distance 0: the mean of the one-member family.
 
-    Returns the quotient structure and the point -> representative map.  The
-    Lipschitz invariants make all interpretations well-defined on classes;
-    this is asserted for every merged entry.
+    Returns the quotient structure and the point -> representative map; m
+    itself when no two points merge.  Raises ValidationError when a table has
+    a gap or an interpretation is not well-defined on classes.
     """
-    reps: list[str] = []
-    rep_of: dict[str, str] = {}
-    for a in m.points:
-        for r in reps:
-            if m.d(a, r) == 0:
-                rep_of[a] = r
-                break
-        else:
-            reps.append(a)
-            rep_of[a] = a
+    from .ultramean import charge, ultramean  # ultramean imports this module
 
-    if len(reps) == len(m.points):
+    mean = ultramean([m], charge({"m": 1}), p=m.metric_power, max_tuples=len(m.points))
+    rep_of = {a: rep for (a,), rep in mean.class_of.items()}
+    if len(mean.structure.points) == len(m.points):
         return m, rep_of
-
-    def cls(x: str) -> str:
-        return rep_of[x]
-
-    new_metric = {
-        (a, b): m.d(a, b) for a, b in itertools.combinations(reps, 2)
-    }
-    new_constants = {c: cls(x) for c, x in m.constants.items()}
-    new_functions: dict[str, dict[tuple[str, ...], str]] = {}
-    for fname, tab in m.functions.items():
-        arity = len(next(iter(tab)))
-        newtab: dict[tuple[str, ...], str] = {}
-        for args in itertools.product(reps, repeat=arity):
-            newtab[args] = cls(tab[args])
-        for args, val in tab.items():
-            mapped = tuple(cls(a) for a in args)
-            if cls(val) != newtab[mapped]:
-                raise ValidationError(f"function {fname} not well-defined on classes at {args}")
-        new_functions[fname] = newtab
-    new_relations: dict[str, dict[tuple[str, ...], Fraction]] = {}
-    for rname, tab in m.relations.items():
-        arity = len(next(iter(tab)))
-        newtab_r: dict[tuple[str, ...], Fraction] = {}
-        for args in itertools.product(reps, repeat=arity):
-            newtab_r[args] = tab[args]
-        for args, val in tab.items():
-            mapped = tuple(cls(a) for a in args)
-            if newtab_r[mapped] != val:
-                raise ValidationError(f"relation {rname} not well-defined on classes at {args}")
-        new_relations[rname] = newtab_r
-
-    q = make_structure(
-        reps,
-        new_metric,
-        new_constants,
-        new_functions,
-        new_relations,
-        metric_power=m.metric_power,
-    )
-    return q, rep_of
+    return mean.structure, rep_of
 
 
 # ---------------------------------------------------------------------------

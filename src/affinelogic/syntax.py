@@ -20,6 +20,7 @@ All scalars are exact rationals.  Values are immutable after construction, so
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,24 @@ def as_fraction(r: Rational) -> Fraction:
             raise ParseError(f"not an exact rational: {r!r} (decimals are rejected)")
         return Fraction(r.strip())
     raise ParseError(f"not an exact rational: {r!r}")
+
+
+def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """(ints, den) with values[i] == ints[i] / den and den the lcm of the denominators.
+
+    A value with no numerator (a float, a Decimal) is taken at its exact value.
+    """
+    pairs = []
+    for v in values:
+        try:
+            pairs.append((v.numerator, v.denominator))
+        except AttributeError:
+            f = Fraction(v)
+            pairs.append((f.numerator, f.denominator))
+    den = math.lcm(*(q for _, q in pairs))
+    if den == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (den // q) for p, q in pairs], den
 
 
 def format_fraction(r: Fraction) -> str:
@@ -449,6 +468,11 @@ class Condition:
     @cached_property
     def free(self) -> frozenset[str]:
         return self.lhs.free | self.rhs.free
+
+    @cached_property
+    def margin(self) -> Formula:
+        """rhs - lhs as the formula rhs + -1*lhs: the condition holds where it is >= 0."""
+        return Sum(self.rhs, Scale(Fraction(-1), self.lhs))
 
     @property
     def closed(self) -> bool:

@@ -14,14 +14,13 @@ sum_i w_i d_i(a_i,b_i)^p and the resulting structure is marked with
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import UniverseCapError, ValidationError
 from .structures import FiniteStructure
-from .syntax import Rational, as_fraction
+from .syntax import Rational, as_fraction, over_common_denominator
 
 DEFAULT_TUPLE_CAP = 4096
 
@@ -172,16 +171,11 @@ def ultramean(
             )
 
     # Member k adds scale[k] * (its int view's cells) to every entry, all over
-    # the one denominator `den`: weights over wden, views over vden.
+    # the one denominator `den`: scale[k] / den is its weight over its view's den.
     views = [m.int_view(p) for m in family]
-    weights = [mu.weight(i) for i in mu.ids]
-    wden = math.lcm(*(w.denominator for w in weights))
-    vden = math.lcm(*(view.den for view in views))
-    den = wden * vden
-    scale = [
-        w.numerator * (wden // w.denominator) * (vden // view.den)
-        for w, view in zip(weights, views)
-    ]
+    scale, den = over_common_denominator(
+        [mu.weight(i) / view.den for i, view in zip(mu.ids, views)]
+    )
     first = views[0]
     metric = [0]
     relations = {r: (arity, [0]) for r, (arity, _) in first.relations.items()}
@@ -208,8 +202,8 @@ def ultramean(
             constants[c] = i * n + view.constants[c]
         size *= n
 
-    # Collapse as structures.quotient does: each tuple joins the first class
-    # whose representative (an earlier tuple) is at distance 0 from it.
+    # Collapse: each tuple joins the first class whose representative (an
+    # earlier tuple) is at distance 0 from it.
     tuples = list(itertools.product(*(m.points for m in family)))
     ids = [_tuple_id(t) for t in tuples]
     reps: list[int] = []

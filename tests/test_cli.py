@@ -300,6 +300,14 @@ class TestQe:
         assert doc["result"] == " + ".join(f"mu(x{i})" for i in range(n))
         assert doc["oracle"] == {"verified": True, "algebras": 1, "evaluations": 2**n}
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_an_oracle_of_no_atoms_is_refused(self, k, capsys):
+        assert cli.main(["qe", "sup y. mu(and(x,y))", "--oracle", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err == {"type": "InputError", "message": f"--oracle needs at least 1 atom, got {k}"}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -470,6 +478,55 @@ class TestDeepInput:
 
     def test_deep_formula_exits_2_with_json_error_on_qe(self):
         self._assert_parse_error(run("qe", self.FORMULA))
+
+
+def _set(path, value):
+    """An edit of a structure document: the entry at `path` becomes `value`."""
+
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set(["points"], 2), "points"),
+        (_set(["metric"], 2), "metric"),
+        (_set(["metric_power"], "x"), "metric_power"),
+        (_set(["metric_power"], 2.5), "metric_power"),
+        (_set(["functions"], 2), "functions"),
+        (_set(["relations", "P", 0], 2), "relation P"),
+        (_set(["signature", "symbols"], 2), "signature symbols"),
+        (_set(["signature", "symbols", 0], "P"), "signature symbol"),
+        (_set(["signature", "symbols", 0, "arity"], "x"), "arity"),
+    ],
+)
+def test_a_malformed_structure_document_is_an_input_error(edit, field, tmp_path, capsys):
+    sig = Signature([function_symbol("F", 1, 1), relation_symbol("P", 1, 1)])
+    m = make_structure(
+        ["a", "b"],
+        {("a", "b"): 1},
+        functions={"F": {("a",): "a", ("b",): "b"}},
+        relations={"P": {("a",): 0, ("b",): 1}},
+    )
+    doc = structure_to_doc(m, sig)
+    edit(doc)
+    path = str(tmp_path / "bad.json")
+    dump_json(doc, path)
+    for argv in (
+        ["validate", path],
+        ["eval", path, "sup x. P(x)"],
+        ["rendezvous", path, "--n", "2"],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "InputError"
+        assert field in err["message"]
 
 
 class TestInternalError:

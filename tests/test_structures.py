@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from affinelogic.errors import EvalError
+from affinelogic.errors import AffineLogicError, EvalError
 from affinelogic.pra import algebra, pra_signature, structure_from_algebra
+from affinelogic.serialize import dump_json, structure_to_doc
 from affinelogic.spaces import cantor, circle, interval, sphere, two_point
 from affinelogic.structures import (
     check_condition,
@@ -20,13 +23,14 @@ from affinelogic.structures import (
 )
 from affinelogic.syntax import (
     Signature,
+    function_symbol,
     parse_condition,
     parse_formula,
     relation_symbol,
 )
 
 from helpers import rand_affine_formula, rand_signature, rand_structure
-from walkers import walk_validate
+from walkers import walk_quotient, walk_validate
 
 METRIC_ONLY = Signature.metric_only()
 
@@ -267,6 +271,80 @@ class TestQuotient:
         for text in ("sup x. R(x)", "inf x. R(x)", "sup x. inf y. d(x,y) + R(y)"):
             phi = parse_formula(text, sig)
             assert eval_formula(m, phi) == eval_formula(q, phi)
+
+
+def _with_copies(rng, m, copies, p):
+    """m with `copies` extra points, each at distance 0 from a random point of
+    m and reading that point's entries in every table; points are shuffled,
+    function values and constants name a random point of their class, and
+    distances are stored as p-th powers."""
+    origin = {a: a for a in m.points}
+    for k in range(copies):
+        origin[f"q{k}"] = rng.choice(m.points)
+    points = list(origin)
+    rng.shuffle(points)
+    members = {a: [b for b in points if origin[b] == a] for a in m.points}
+
+    def same_class(a):
+        return rng.choice(members[a])
+
+    def rows(tab):
+        arity = len(next(iter(tab)))
+        return {
+            args: tab[tuple(origin[a] for a in args)]
+            for args in itertools.product(points, repeat=arity)
+        }
+
+    return make_structure(
+        points,
+        [[m.d(origin[a], origin[b]) ** p for b in points] for a in points],
+        {c: same_class(v) for c, v in m.constants.items()},
+        {f: {k: same_class(v) for k, v in rows(tab).items()} for f, tab in m.functions.items()},
+        {r: rows(tab) for r, tab in m.relations.items()},
+        metric_power=p,
+    )
+
+
+def _quotient_doc(build, m):
+    """The quotient's document bytes, its representative map and whether it is
+    m itself; or the error raised building it."""
+    try:
+        q, rep = build(m)
+    except AffineLogicError as exc:
+        return type(exc).__name__, str(exc)
+    return dump_json(structure_to_doc(q)), list(rep.items()), q is m
+
+
+class TestQuotientAgainstReference:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2]))
+    def test_quotient_matches_the_walker(self, seed, p):
+        """Symmetric random structures with copied points, constants, unary
+        and binary functions and relations; at times a table entry changed at
+        one point, which breaks well-definedness on its class."""
+        rng = random.Random(seed)
+        sig = rand_signature(rng)
+        if rng.random() < 0.4:
+            sig = Signature(sig.symbols() + [function_symbol("G", 2, 1)])
+        m = _with_copies(rng, rand_structure(rng, sig, 3), rng.randint(0, 3), p)
+        tables = [*m.functions.values(), *m.relations.values()]
+        if tables and rng.random() < 0.3:
+            tab = rng.choice(tables)
+            args = rng.choice(list(tab))
+            value = tab[args]
+            tab[args] = rng.choice(m.points) if isinstance(value, str) else 1 - value
+        want = _quotient_doc(walk_quotient, m)
+        assert _quotient_doc(quotient, m) == want
+
+    def test_an_entry_that_splits_a_class_fails_alike(self):
+        m = make_structure(
+            ["a", "b", "c"],
+            {("a", "b"): 0, ("a", "c"): 1, ("b", "c"): 1},
+            relations={"R": {("a",): 0, ("b",): Fraction(1, 2), ("c",): 1}},
+        )
+        got = _quotient_doc(quotient, m)
+        assert got == _quotient_doc(walk_quotient, m)
+        assert got == ("ValidationError", "relation R not well-defined on classes at ('b',)")
 
 
 class TestRendezvous:

@@ -10,8 +10,10 @@ triangle check on stored powers at p >= 3) with `structures.validate`.
 `walk_solve_lp` is the dense Fraction tableau that recomputes the reduced
 costs c_B B^-1 A on every iteration; it shares only `LPResult` and the
 status names with `lp.solve_lp`.  `walk_ultramean` builds a mean entry by
-entry as weighted sums of Fractions and collapses it with
-`structures.quotient`; `ultramean.ultramean` shares neither.
+entry as weighted sums of Fractions and collapses it with `walk_quotient`,
+which merges points at distance 0 name by name in Fractions;
+`ultramean.ultramean` shares neither, and `structures.quotient` is the
+ultramean of a one-member family.
 `walk_eliminate_sup` eliminates sup_y on the minterms of every variable in
 scope, keeping one Fraction per minterm, and turns the result back into
 positive conjunctions atom by atom by inclusion-exclusion
@@ -52,7 +54,6 @@ from affinelogic.structures import (
     Violation,
     leq_root_sum,
     make_structure,
-    quotient,
 )
 from affinelogic.syntax import (
     Const,
@@ -344,6 +345,69 @@ def walk_validate(
     return ValidationReport(v)
 
 
+def walk_quotient(m: FiniteStructure) -> tuple[FiniteStructure, dict[str, str]]:
+    """Points at stored distance 0 identified, in Fractions.
+
+    Returns the quotient structure and the point -> representative map, and
+    m itself when nothing merges.  Each point joins the first earlier
+    representative at distance 0 from it; every table entry is checked
+    against the entry at the representatives of its arguments.
+    """
+    reps: list[str] = []
+    rep_of: dict[str, str] = {}
+    for a in m.points:
+        for r in reps:
+            if m.d(r, a) == 0:
+                rep_of[a] = r
+                break
+        else:
+            reps.append(a)
+            rep_of[a] = a
+
+    if len(reps) == len(m.points):
+        return m, rep_of
+
+    def cls(x: str) -> str:
+        return rep_of[x]
+
+    new_metric = {
+        (a, b): m.d(a, b) for a, b in itertools.combinations(reps, 2)
+    }
+    new_constants = {c: cls(x) for c, x in m.constants.items()}
+    new_functions: dict[str, dict[tuple[str, ...], str]] = {}
+    for fname, tab in m.functions.items():
+        arity = len(next(iter(tab)))
+        newtab: dict[tuple[str, ...], str] = {}
+        for args in itertools.product(reps, repeat=arity):
+            newtab[args] = cls(tab[args])
+        for args, val in tab.items():
+            mapped = tuple(cls(a) for a in args)
+            if cls(val) != newtab[mapped]:
+                raise ValidationError(f"function {fname} not well-defined on classes at {args}")
+        new_functions[fname] = newtab
+    new_relations: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    for rname, tab in m.relations.items():
+        arity = len(next(iter(tab)))
+        newtab_r: dict[tuple[str, ...], Fraction] = {}
+        for args in itertools.product(reps, repeat=arity):
+            newtab_r[args] = tab[args]
+        for args, val in tab.items():
+            mapped = tuple(cls(a) for a in args)
+            if newtab_r[mapped] != val:
+                raise ValidationError(f"relation {rname} not well-defined on classes at {args}")
+        new_relations[rname] = newtab_r
+
+    q = make_structure(
+        reps,
+        new_metric,
+        new_constants,
+        new_functions,
+        new_relations,
+        metric_power=m.metric_power,
+    )
+    return q, rep_of
+
+
 def walk_ultramean(
     family: Sequence[FiniteStructure],
     mu: Charge,
@@ -428,7 +492,7 @@ def walk_ultramean(
         relations[rname] = tab_r
 
     pre = make_structure(ids, metric, constants, functions, relations, metric_power=p)
-    collapsed, rep_of = quotient(pre)
+    collapsed, rep_of = walk_quotient(pre)
     class_of = {t: rep_of["|".join(t)] for t in tuples}
     return MeanStructure(
         structure=collapsed,
