@@ -33,7 +33,6 @@ from .serialize import (
     FORMAT_VERSION,
     charge_to_doc,
     dump_json,
-    fraction_str,
     load_basis,
     load_charge,
     load_proof,
@@ -47,6 +46,7 @@ from .syntax import (
     Signature,
     Theory,
     format_formula,
+    format_fraction,
     parse_condition_or_equality,
     parse_formula,
     as_fraction,
@@ -138,7 +138,7 @@ def _cmd_validate(args, run: _Run) -> int:
                 {
                     "kind": v.kind,
                     "where": v.where,
-                    "amount": fraction_str(v.amount) if v.amount is not None else None,
+                    "amount": format_fraction(v.amount) if v.amount is not None else None,
                 }
                 for v in report.violations
             ],
@@ -158,9 +158,9 @@ def _cmd_eval(args, run: _Run) -> int:
         asg[k] = v
     value = eval_formula(m, phi, asg, args.p)
     if args.decimal:
-        print(f"{fraction_str(value)} ~ {_decimalize(value)}")
+        print(f"{format_fraction(value)} ~ {_decimalize(value)}")
     else:
-        print(fraction_str(value))
+        print(format_fraction(value))
     return 0
 
 
@@ -182,9 +182,9 @@ def _cmd_mean(args, run: _Run) -> int:
                 f"ultramean identity failed: mean value {mean_value} != weighted sum {weighted}"
             )
         print(
-            f"ultramean-check pass: {fraction_str(mean_value)} = "
+            f"ultramean-check pass: {format_fraction(mean_value)} = "
             + " + ".join(
-                f"{fraction_str(mu.weight(i))}*{fraction_str(v)}" for i, v in zip(mu.ids, values)
+                f"{format_fraction(mu.weight(i))}*{format_fraction(v)}" for i, v in zip(mu.ids, values)
             )
         )
     if args.out:
@@ -206,25 +206,16 @@ def _cmd_sat(args, run: _Run) -> int:
         try:
             res = consequence_margin(theory, target_list[0], structures, args.p)
         except UnsatisfiableError as exc:
-            cert = exc.certificate
-            _emit(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "verdict": "unsat",
-                    "certificate": _cert_doc(cert, theory),
-                    "margin": fraction_str(cert.margin),
-                }
-            )
-            return 1
+            return _emit_unsat(exc.certificate, theory)
         _emit(
             {
                 "format_version": FORMAT_VERSION,
                 "target": args.target,
-                "margin": fraction_str(res.margin),
+                "margin": format_fraction(res.margin),
                 "is_consequence": res.is_consequence,
                 "minimizing_charge": charge_to_doc(res.charge),
                 "closure_coefficients": [
-                    {"condition": j, "coefficient": fraction_str(c)}
+                    {"condition": j, "coefficient": format_fraction(c)}
                     for j, c in res.closure_coeffs
                 ],
             }
@@ -240,27 +231,24 @@ def _cmd_sat(args, run: _Run) -> int:
             }
         )
         return 0
+    return _emit_unsat(verdict, theory)
+
+
+def _emit_unsat(verdict: Unsat, theory: Theory) -> int:
+    """Print the unsat document with its Farkas certificate; exit code 1."""
+    conds = list(theory)
     _emit(
         {
             "format_version": FORMAT_VERSION,
             "verdict": "unsat",
-            "certificate": _cert_doc(verdict, theory),
-            "margin": fraction_str(verdict.margin),
+            "certificate": [
+                {"condition": j, "text": str(conds[j]), "coefficient": format_fraction(c)}
+                for j, c in verdict.certificate
+            ],
+            "margin": format_fraction(verdict.margin),
         }
     )
     return 1
-
-
-def _cert_doc(verdict: Unsat, theory: Theory) -> list[dict]:
-    conds = list(theory)
-    return [
-        {
-            "condition": j,
-            "text": str(conds[j]),
-            "coefficient": fraction_str(c),
-        }
-        for j, c in verdict.certificate
-    ]
 
 
 def _cmd_separate(args, run: _Run) -> int:
@@ -285,11 +273,11 @@ def _cmd_separate(args, run: _Run) -> int:
         {
             "format_version": FORMAT_VERSION,
             "separable": True,
-            "coefficients": [fraction_str(c) for c in result.coeffs],
-            "r": fraction_str(result.r),
-            "s": fraction_str(result.s),
+            "coefficients": [format_fraction(c) for c in result.coeffs],
+            "r": format_fraction(result.r),
+            "s": format_fraction(result.s),
             "sentence": " + ".join(
-                f"{fraction_str(c)}*({format_formula(f)})"
+                f"{format_fraction(c)}*({format_formula(f)})"
                 for c, f in zip(result.coeffs, formulas)
                 if c != 0
             ),
@@ -320,7 +308,7 @@ def _cmd_types(args, run: _Run) -> int:
             else None
         )
         return {
-            "values": [fraction_str(v) for v in tv.values],
+            "values": [format_fraction(v) for v in tv.values],
             "realized_at": witness,
         }
 
@@ -328,7 +316,7 @@ def _cmd_types(args, run: _Run) -> int:
         "format_version": FORMAT_VERSION,
         "variables": list(basis.variables),
         "formulas": [format_formula(f) for f in basis.formulas],
-        "norms": [fraction_str(v) for v in basis.norms],
+        "norms": [format_fraction(v) for v in basis.norms],
         "generators": [tv_doc(tv) for tv in poly.generators],
         "vertices": [tv_doc(tv) for tv in poly.vertices],
     }
@@ -346,8 +334,8 @@ def _cmd_types(args, run: _Run) -> int:
         if logic is None:
             raise InputError("no family member realizes both type vectors")
         doc["metrics"] = {
-            "logic": fraction_str(logic),
-            "norm": fraction_str(norm_distance(pvec, qvec, basis)),
+            "logic": format_fraction(logic),
+            "norm": format_fraction(norm_distance(pvec, qvec, basis)),
         }
     _emit(doc)
     return 0
@@ -363,7 +351,7 @@ def _cmd_qe(args, run: _Run) -> int:
         "format_version": FORMAT_VERSION,
         "input": args.formula,
         "result": pra.format_pra(result),
-        "constant": fraction_str(result.constant) if result.is_constant else None,
+        "constant": format_fraction(result.constant) if result.is_constant else None,
     }
     algebras = pra.algebras_up_to(args.oracle, 4)
     free = sorted(phi.free)
@@ -372,7 +360,7 @@ def _cmd_qe(args, run: _Run) -> int:
         combos = itertools.product(alg.events(), repeat=len(free))
         for combo, value in zip(combos, pra.oracle_table(phi, alg, free)):
             if value != pra.oracle_eval(result, alg, dict(zip(free, combo))):
-                doc["oracle"] = {"verified": False, "algebra": [fraction_str(w) for w in alg.weights]}
+                doc["oracle"] = {"verified": False, "algebra": [format_fraction(w) for w in alg.weights]}
                 _emit(doc)
                 return 1
             checked += 1
@@ -412,7 +400,7 @@ def _cmd_check_proof(args, run: _Run) -> int:
             "checked": report.checked,
             "skipped": report.skipped,
             "violations": [
-                {"structure": v.structure_index, "margin": fraction_str(v.margin)}
+                {"structure": v.structure_index, "margin": format_fraction(v.margin)}
                 for v in report.violations
             ],
         }
@@ -429,8 +417,8 @@ def _cmd_rendezvous(args, run: _Run) -> int:
         {
             "format_version": FORMAT_VERSION,
             "n": args.n,
-            "lower": fraction_str(lower),
-            "upper": fraction_str(upper),
+            "lower": format_fraction(lower),
+            "upper": format_fraction(upper),
         }
     )
     return 0

@@ -11,8 +11,8 @@ including y: writing the value as
 c + sum over minterms m of x-variables of [a+(m) mu(m & y) + a-(m) mu(m & ~y)],
 the measures mu(m & y) range independently over [0, mu(m)] as y ranges over
 the algebra, so the supremum is c + sum max(a+(m), a-(m)) mu(m), attained at
-y = union of the minterms with a+ > a-.  inf goes through
-inf_y phi = -sup_y(-phi).
+y = union of the minterms with a+ > a-.  The infimum is the same sum with
+min in place of max.
 
 The coefficients live in one list of 2^n ints over one denominator, n the
 size of the scope.  Positive-conjunction coefficients go to minterm
@@ -258,10 +258,6 @@ def pra_scale(r: Fraction, a: PraFormula) -> PraFormula:
     return make_pra(r * a.constant, [(r * c, e) for c, e in a.atoms])
 
 
-def pra_neg(a: PraFormula) -> PraFormula:
-    return pra_scale(Fraction(-1), a)
-
-
 # Largest elimination scope, the x-variables plus y: the vectors hold 2^n ints.
 MAX_ELIMINATION_VARS = 16
 
@@ -278,14 +274,15 @@ def _subset_transform(f: list[int], n: int, op) -> None:
                 f[m] = op(f[m], f[m ^ bit])
 
 
-def eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
-    """Exact supremum over all events y of a quantifier-free measure combination.
+def eliminate_sup(phi: PraFormula, y: str, pick=max) -> PraFormula:
+    """Exact supremum over all events y of a quantifier-free measure combination
+    (the infimum with pick=min).
 
     Works on one vector of 2^n ints over one denominator, where the scope is
     the other variables plus y (the top bit).  Each atom adds the
     positive-conjunction coefficients of its event (a Möbius transform over
     the event's own variables); a zeta transform gives the coefficients of
-    the minterms; each minterm of the other variables keeps the better of its
+    the minterms; each minterm of the other variables keeps the pick of its
     y and not-y coefficient; a Möbius transform returns to positive
     conjunctions, the canonical form.  Raises UniverseCapError, before
     allocating, when the scope exceeds MAX_ELIMINATION_VARS variables.
@@ -314,7 +311,7 @@ def eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
                 f[s] += num * a
     _subset_transform(f, n, operator.add)  # now the minterm coefficients
     half = 1 << (n - 1)
-    h = [max(g_pos, g_neg) for g_pos, g_neg in zip(f[half:], f[:half])]
+    h = [pick(g_pos, g_neg) for g_pos, g_neg in zip(f[half:], f[:half])]
     _subset_transform(h, n - 1, operator.sub)
     atoms = [
         (Fraction(c, den), conjunction_event([v for i, v in enumerate(xvars) if s >> i & 1]))
@@ -327,8 +324,8 @@ def eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
 def qe(phi: Formula) -> PraFormula:
     """Eliminate all quantifiers from a probability-algebra formula.
 
-    Accepts arbitrary nesting (not just prefixes); inf is routed through
-    inf_y phi = -sup_y(-phi).  Sentences come out as plain constants.
+    Accepts arbitrary nesting (not just prefixes).  Sentences come out as
+    plain constants.
     """
     if isinstance(phi, One):
         return make_pra(1, [])
@@ -346,7 +343,7 @@ def qe(phi: Formula) -> PraFormula:
     if isinstance(phi, Sup):
         return eliminate_sup(qe(phi.body), phi.varname)
     if isinstance(phi, Inf):
-        return pra_neg(eliminate_sup(pra_neg(qe(phi.body)), phi.varname))
+        return eliminate_sup(qe(phi.body), phi.varname, min)
     raise NotAffineError("min/max are not part of the affine PrA fragment")
 
 
@@ -446,8 +443,7 @@ def oracle_eval(
         return total
     if not phi.affine:
         raise NotAffineError("min/max are not part of the affine PrA fragment")
-    k = alg.atom_count
-    names = {v: "e" + format(ev, f"0{k}b") for v, ev in scope.items()}
+    names = {v: _event_point(alg, ev) for v, ev in scope.items()}
     return eval_formula(_algebra_structure(alg), phi, names)
 
 
@@ -502,15 +498,19 @@ def format_pra(phi: PraFormula) -> str:
     return " + ".join(parts)
 
 
+def _event_point(alg: FiniteAlgebra, event: int) -> str:
+    """The point naming an event in the algebra's structure view, e.g. e101."""
+    return "e" + format(event, f"0{alg.atom_count}b")
+
+
 def structure_from_algebra(alg: FiniteAlgebra) -> FiniteStructure:
     """The algebra as a finite metric structure over the PrA signature.
 
     Points are the events named by their atom bitstrings (e.g. e101), the
     metric is mu of the symmetric difference, and all tables are total.
     """
-    k = alg.atom_count
     measures = alg.measures
-    names = {event: "e" + format(event, f"0{k}b") for event in alg.events()}
+    names = {event: _event_point(alg, event) for event in alg.events()}
     points = [names[e] for e in alg.events()]
     metric = {
         (names[a], names[b]): measures[a ^ b]

@@ -19,9 +19,9 @@ collapsed before building nodes).  Checking is deterministic and total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .structures import FiniteStructure, holds_universally
 from .syntax import (
@@ -30,6 +30,7 @@ from .syntax import (
     Dist,
     Formula,
     Inf,
+    ONE,
     One,
     Rel,
     Scale,
@@ -37,6 +38,7 @@ from .syntax import (
     Sup,
     Term,
     ZERO,
+    numeral,
     substitute,
     substitution_correct,
 )
@@ -45,40 +47,138 @@ AXIOM_TAGS = tuple(f"A{i}" for i in range(1, 23))
 RULE_TAGS = ("R1", "R2", "R3", "R4")
 
 
+def _match(pattern: Any, obj: Any, bindings: dict[str, Any]) -> bool:
+    """Whether obj is an instance of the pattern tree, extending bindings.
+
+    A tuple (cls, *parts) matches an instance of cls whose first fields
+    match the parts in declaration order.  A string is a metavariable: phi,
+    psi and theta stand for formulas, r, s, u, r1 and r2 for coefficients, t
+    and t1-t3 for terms, x for the quantified variable; it is bound at its
+    first occurrence and must equal that binding at every later one.
+    Anything else (ONE, ZERO, the coefficients 0, 1 and -1) matches what
+    equals it.
+    """
+    if isinstance(pattern, tuple):
+        cls, *parts = pattern
+        return isinstance(obj, cls) and all(
+            _match(part, getattr(obj, f.name), bindings)
+            for part, f in zip(parts, fields(cls))
+        )
+    if isinstance(pattern, str):
+        return bindings.setdefault(pattern, obj) == obj
+    return obj == pattern
+
+
 @dataclass(frozen=True)
 class AxiomSchema:
-    """Catalog entry for one axiom: its pattern and side condition, both
-    matched purely syntactically (metavariables phi/psi/theta range over
-    formulas, r/s over rationals, t over terms, x over variables)."""
+    """Catalog entry for one axiom, matched purely syntactically.
+
+    For an axiom of fixed shape, `lhs` and `rhs` are its two sides as pattern
+    trees (see `_match`), and `check`, if any, takes the bindings as keyword
+    arguments and returns the reason its arithmetic or side condition fails.
+    A12, A20, A21 and A22 have no trees; `_check_axiom` checks them by hand.
+    """
 
     tag: str
     pattern: str
     side_condition: str | None = None
     equality: bool = False  # equalities justify either <= orientation
+    lhs: Any = None
+    rhs: Any = None
+    check: Callable[..., str | None] | None = None
+
+    def mismatch(self, lhs: Formula, rhs: Formula) -> str | None:
+        """Why lhs <= rhs is no instance of the pattern trees, or None."""
+        bindings: dict[str, Any] = {}
+        if not (_match(self.lhs, lhs, bindings) and _match(self.rhs, rhs, bindings)):
+            return f"shape mismatch for {self.pattern}"
+        return self.check(**bindings) if self.check else None
+
+
+def _num(r: str) -> tuple:
+    """The pattern of the numeral r*1."""
+    return (Scale, r, ONE)
+
+
+def _sum_is(a: Fraction, b: Fraction, c: Fraction) -> str | None:
+    return None if a + b == c else f"arithmetic fails: {a}+{b} != {c}"
+
+
+def _product_is(a: Fraction, b: Fraction, c: Fraction) -> str | None:
+    return None if a * b == c else f"arithmetic fails: {a}*{b} != {c}"
 
 
 AXIOM_SCHEMAS: dict[str, AxiomSchema] = {
     s.tag: s
     for s in (
-        AxiomSchema("A1", "r1 + r2 = r", "r1 + r2 = r holds in the reals", True),
-        AxiomSchema("A2", "r1*(r2*1) = r", "r1 * r2 = r holds in the reals", True),
-        AxiomSchema("A3", "r <= s", "r <= s holds in the reals"),
-        AxiomSchema("A4", "phi+(psi+theta) = (phi+psi)+theta", None, True),
-        AxiomSchema("A5", "phi+psi = psi+phi", None, True),
-        AxiomSchema("A6", "0+phi = phi", None, True),
-        AxiomSchema("A7", "r*(phi+psi) = r*phi + r*psi", None, True),
-        AxiomSchema("A8", "(r+s)*phi = r*phi + s*phi", None, True),
-        AxiomSchema("A9", "r*(s*phi) = (r*s)*phi", None, True),
-        AxiomSchema("A10", "1*phi = phi", None, True),
-        AxiomSchema("A11", "0*phi = 0", None, True),
+        AxiomSchema(
+            "A1", "r1+r2 = r", "r1 + r2 = r holds in the reals", True,
+            (Sum, _num("r1"), _num("r2")), _num("r"),
+            lambda r1, r2, r: _sum_is(r1, r2, r),
+        ),
+        AxiomSchema(
+            "A2", "r1*r2 = r", "r1 * r2 = r holds in the reals", True,
+            (Scale, "r1", _num("r2")), _num("r"),
+            lambda r1, r2, r: _product_is(r1, r2, r),
+        ),
+        AxiomSchema(
+            "A3", "r <= s", "r <= s holds in the reals", False,
+            _num("r"), _num("s"),
+            lambda r, s: None if r <= s else f"arithmetic fails: {r} > {s}",
+        ),
+        AxiomSchema(
+            "A4", "phi+(psi+theta) = (phi+psi)+theta", None, True,
+            (Sum, "phi", (Sum, "psi", "theta")), (Sum, (Sum, "phi", "psi"), "theta"),
+        ),
+        AxiomSchema(
+            "A5", "phi+psi = psi+phi", None, True, (Sum, "phi", "psi"), (Sum, "psi", "phi")
+        ),
+        AxiomSchema("A6", "0+phi = phi", None, True, (Sum, ZERO, "phi"), "phi"),
+        AxiomSchema(
+            "A7", "r(phi+psi) = r*phi+r*psi", None, True,
+            (Scale, "r", (Sum, "phi", "psi")), (Sum, (Scale, "r", "phi"), (Scale, "r", "psi")),
+        ),
+        AxiomSchema(
+            "A8", "(r+s)phi = r*phi+s*phi", None, True,
+            (Scale, "u", "phi"), (Sum, (Scale, "r", "phi"), (Scale, "s", "phi")),
+            lambda r, s, u, phi: _sum_is(r, s, u),
+        ),
+        AxiomSchema(
+            "A9", "r(s*phi) = (rs)phi", None, True,
+            (Scale, "r", (Scale, "s", "phi")), (Scale, "u", "phi"),
+            lambda r, s, u, phi: _product_is(r, s, u),
+        ),
+        AxiomSchema("A10", "1*phi = phi", None, True, (Scale, 1, "phi"), "phi"),
+        AxiomSchema("A11", "0*phi = 0", None, True, (Scale, 0, "phi"), ZERO),
         AxiomSchema("A12", "phi[t/x] <= sup x. phi", "the substitution of t for x is correct"),
-        AxiomSchema("A13", "sup x. (phi+psi) = (sup x. phi) + psi", "x is not free in psi", True),
-        AxiomSchema("A14", "sup x. (phi+psi) <= (sup x. phi) + (sup x. psi)"),
-        AxiomSchema("A15", "sup x. (r*phi) = r*(sup x. phi)", "0 <= r", True),
-        AxiomSchema("A16", "sup x. phi = -1*(inf x. -1*phi)", None, True),
-        AxiomSchema("A17", "d(t,t) = 0", None, True),
-        AxiomSchema("A18", "d(t1,t2) = d(t2,t1)", None, True),
-        AxiomSchema("A19", "d(t1,t3) <= d(t1,t2) + d(t2,t3)"),
+        AxiomSchema(
+            "A13", "sup_x(phi+psi) = (sup_x phi)+psi", "x is not free in psi", True,
+            (Sup, "x", (Sum, "phi", "psi")), (Sum, (Sup, "x", "phi"), "psi"),
+            lambda x, phi, psi: (
+                f"side condition fails: {x} is free in the residue" if x in psi.free else None
+            ),
+        ),
+        AxiomSchema(
+            "A14", "sup_x(phi+psi) <= sup_x phi + sup_x psi", None, False,
+            (Sup, "x", (Sum, "phi", "psi")), (Sum, (Sup, "x", "phi"), (Sup, "x", "psi")),
+        ),
+        AxiomSchema(
+            "A15", "sup_x(r*phi) = r*sup_x phi", "0 <= r", True,
+            (Sup, "x", (Scale, "r", "phi")), (Scale, "r", (Sup, "x", "phi")),
+            lambda x, r, phi: f"side condition fails: r = {r} < 0" if r < 0 else None,
+        ),
+        AxiomSchema(
+            "A16", "sup_x phi = -inf_x -phi", None, True,
+            (Sup, "x", "phi"), (Scale, -1, (Inf, "x", (Scale, -1, "phi"))),
+        ),
+        AxiomSchema("A17", "d(t,t) = 0", None, True, (Dist, "t", "t"), ZERO),
+        AxiomSchema(
+            "A18", "d(t1,t2) = d(t2,t1)", None, True, (Dist, "t1", "t2"), (Dist, "t2", "t1")
+        ),
+        AxiomSchema(
+            "A19", "d(t1,t3) <= d(t1,t2)+d(t2,t3)", None, False,
+            (Dist, "t1", "t3"), (Sum, (Dist, "t1", "t2"), (Dist, "t2", "t3")),
+        ),
         AxiomSchema("A20", "d(F(xs),F(ys)) <= lambda_F * (d(x1,y1) + ... + d(xn,yn))"),
         AxiomSchema("A21", "R(xs) - R(ys) <= lambda_R * (d(x1,y1) + ... + d(xn,yn))"),
         AxiomSchema("A22", "0 <= R(ts), R(ts) <= 1 (including d)"),
@@ -116,13 +216,6 @@ class CheckResult:
         return self.valid
 
 
-def _numeral(phi: Formula) -> Fraction | None:
-    """The rational r if phi is the numeral r*1, else None."""
-    if isinstance(phi, Scale) and isinstance(phi.body, One):
-        return phi.coeff
-    return None
-
-
 def _dist_chain(phi: Formula) -> list[Dist] | None:
     """Decompose a left-associated sum of distance atoms."""
     if isinstance(phi, Dist):
@@ -134,213 +227,14 @@ def _dist_chain(phi: Formula) -> list[Dist] | None:
     return None
 
 
-Matcher = Callable[[Formula, Formula, dict[str, Term]], str | None]
-
-
-def _match_a1(lhs, rhs, inst):
-    r = _numeral(rhs)
-    if (
-        r is not None
-        and isinstance(lhs, Sum)
-        and (r1 := _numeral(lhs.left)) is not None
-        and (r2 := _numeral(lhs.right)) is not None
-    ):
-        return None if r1 + r2 == r else f"arithmetic fails: {r1}+{r2} != {r}"
-    return "shape mismatch for r1+r2 = r"
-
-
-def _match_a2(lhs, rhs, inst):
-    r = _numeral(rhs)
-    if (
-        r is not None
-        and isinstance(lhs, Scale)
-        and (r2 := _numeral(lhs.body)) is not None
-    ):
-        return None if lhs.coeff * r2 == r else f"arithmetic fails: {lhs.coeff}*{r2} != {r}"
-    return "shape mismatch for r1*r2 = r"
-
-
-def _match_a4(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Sum)
-        and isinstance(lhs.right, Sum)
-        and isinstance(rhs, Sum)
-        and isinstance(rhs.left, Sum)
-        and lhs.left == rhs.left.left
-        and lhs.right.left == rhs.left.right
-        and lhs.right.right == rhs.right
-    ):
-        return None
-    return "shape mismatch for phi+(psi+theta) = (phi+psi)+theta"
-
-
-def _match_a5(lhs, rhs, inst):
-    if isinstance(lhs, Sum) and isinstance(rhs, Sum):
-        if lhs.left == rhs.right and lhs.right == rhs.left:
-            return None
-    return "shape mismatch for phi+psi = psi+phi"
-
-
-def _match_a6(lhs, rhs, inst):
-    if isinstance(lhs, Sum) and lhs.left == ZERO and lhs.right == rhs:
-        return None
-    return "shape mismatch for 0+phi = phi"
-
-
-def _match_a7(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Scale)
-        and isinstance(lhs.body, Sum)
-        and isinstance(rhs, Sum)
-        and isinstance(rhs.left, Scale)
-        and isinstance(rhs.right, Scale)
-        and rhs.left.coeff == lhs.coeff == rhs.right.coeff
-        and rhs.left.body == lhs.body.left
-        and rhs.right.body == lhs.body.right
-    ):
-        return None
-    return "shape mismatch for r(phi+psi) = r*phi+r*psi"
-
-
-def _match_a8(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Scale)
-        and isinstance(rhs, Sum)
-        and isinstance(rhs.left, Scale)
-        and isinstance(rhs.right, Scale)
-        and rhs.left.body == rhs.right.body == lhs.body
-    ):
-        if rhs.left.coeff + rhs.right.coeff == lhs.coeff:
-            return None
-        return f"arithmetic fails: {rhs.left.coeff}+{rhs.right.coeff} != {lhs.coeff}"
-    return "shape mismatch for (r+s)phi = r*phi+s*phi"
-
-
-def _match_a9(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Scale)
-        and isinstance(lhs.body, Scale)
-        and isinstance(rhs, Scale)
-        and lhs.body.body == rhs.body
-    ):
-        if lhs.coeff * lhs.body.coeff == rhs.coeff:
-            return None
-        return f"arithmetic fails: {lhs.coeff}*{lhs.body.coeff} != {rhs.coeff}"
-    return "shape mismatch for r(s*phi) = (rs)phi"
-
-
-def _match_a10(lhs, rhs, inst):
-    if isinstance(lhs, Scale) and lhs.coeff == 1 and lhs.body == rhs:
-        return None
-    return "shape mismatch for 1*phi = phi"
-
-
-def _match_a11(lhs, rhs, inst):
-    if isinstance(lhs, Scale) and lhs.coeff == 0 and rhs == ZERO:
-        return None
-    return "shape mismatch for 0*phi = 0"
-
-
-def _match_a13(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Sup)
-        and isinstance(lhs.body, Sum)
-        and isinstance(rhs, Sum)
-        and isinstance(rhs.left, Sup)
-        and rhs.left.varname == lhs.varname
-        and rhs.left.body == lhs.body.left
-        and rhs.right == lhs.body.right
-    ):
-        if lhs.varname in rhs.right.free:
-            return f"side condition fails: {lhs.varname} is free in the residue"
-        return None
-    return "shape mismatch for sup_x(phi+psi) = (sup_x phi)+psi"
-
-
-def _match_a15(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Sup)
-        and isinstance(lhs.body, Scale)
-        and isinstance(rhs, Scale)
-        and isinstance(rhs.body, Sup)
-        and rhs.body.varname == lhs.varname
-        and rhs.coeff == lhs.body.coeff
-        and rhs.body.body == lhs.body.body
-    ):
-        if rhs.coeff < 0:
-            return f"side condition fails: r = {rhs.coeff} < 0"
-        return None
-    return "shape mismatch for sup_x(r*phi) = r*sup_x phi"
-
-
-def _match_a16(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Sup)
-        and isinstance(rhs, Scale)
-        and rhs.coeff == -1
-        and isinstance(rhs.body, Inf)
-        and rhs.body.varname == lhs.varname
-        and isinstance(rhs.body.body, Scale)
-        and rhs.body.body.coeff == -1
-        and rhs.body.body.body == lhs.body
-    ):
-        return None
-    return "shape mismatch for sup_x phi = -inf_x -phi"
-
-
-def _match_a17(lhs, rhs, inst):
-    if isinstance(lhs, Dist) and lhs.left == lhs.right and rhs == ZERO:
-        return None
-    return "shape mismatch for d(t,t) = 0"
-
-
-def _match_a18(lhs, rhs, inst):
-    if (
-        isinstance(lhs, Dist)
-        and isinstance(rhs, Dist)
-        and lhs.left == rhs.right
-        and lhs.right == rhs.left
-    ):
-        return None
-    return "shape mismatch for d(t1,t2) = d(t2,t1)"
-
-
-_EQUALITY_MATCHERS: dict[str, Matcher] = {
-    "A1": _match_a1,
-    "A2": _match_a2,
-    "A4": _match_a4,
-    "A5": _match_a5,
-    "A6": _match_a6,
-    "A7": _match_a7,
-    "A8": _match_a8,
-    "A9": _match_a9,
-    "A10": _match_a10,
-    "A11": _match_a11,
-    "A13": _match_a13,
-    "A15": _match_a15,
-    "A16": _match_a16,
-    "A17": _match_a17,
-    "A18": _match_a18,
-}
-
-
 def _check_axiom(tag: str, concl: Condition, inst: dict[str, Term]) -> str | None:
     lhs, rhs = concl.lhs, concl.rhs
-    if tag in _EQUALITY_MATCHERS:
-        m = _EQUALITY_MATCHERS[tag]
-        err = m(lhs, rhs, inst)
-        if err is None:
+    schema = AXIOM_SCHEMAS.get(tag)
+    if schema is not None and schema.lhs is not None:
+        err = schema.mismatch(lhs, rhs)
+        if err is not None and schema.equality and schema.mismatch(rhs, lhs) is None:
             return None
-        if AXIOM_SCHEMAS[tag].equality:
-            err2 = m(rhs, lhs, inst)
-            if err2 is None:
-                return None
         return err
-    if tag == "A3":
-        r, s = _numeral(lhs), _numeral(rhs)
-        if r is None or s is None:
-            return "shape mismatch for r <= s"
-        return None if r <= s else f"arithmetic fails: {r} > {s}"
     if tag == "A12":
         if not isinstance(rhs, Sup):
             return "right side must be sup_x phi"
@@ -353,31 +247,6 @@ def _check_axiom(tag: str, concl: Condition, inst: dict[str, Term]) -> str | Non
         if lhs == expected:
             return None
         return "left side is not phi[t/x]"
-    if tag == "A14":
-        if (
-            isinstance(lhs, Sup)
-            and isinstance(lhs.body, Sum)
-            and isinstance(rhs, Sum)
-            and isinstance(rhs.left, Sup)
-            and isinstance(rhs.right, Sup)
-            and rhs.left.varname == rhs.right.varname == lhs.varname
-            and rhs.left.body == lhs.body.left
-            and rhs.right.body == lhs.body.right
-        ):
-            return None
-        return "shape mismatch for sup_x(phi+psi) <= sup_x phi + sup_x psi"
-    if tag == "A19":
-        if (
-            isinstance(lhs, Dist)
-            and isinstance(rhs, Sum)
-            and isinstance(rhs.left, Dist)
-            and isinstance(rhs.right, Dist)
-            and rhs.left.left == lhs.left
-            and rhs.left.right == rhs.right.left
-            and rhs.right.right == lhs.right
-        ):
-            return None
-        return "shape mismatch for d(t1,t3) <= d(t1,t2)+d(t2,t3)"
     if tag == "A20":
         if not (
             isinstance(lhs, Dist)
@@ -457,7 +326,7 @@ def _check_rule(tag: str, concl: Condition, premises: Sequence[Condition], gamma
         ):
             return "conclusion sides must scale by the same rational"
         r = concl.lhs.coeff
-        if sign.lhs != ZERO or _numeral(sign.rhs) != r:
+        if sign.lhs != ZERO or sign.rhs != numeral(r):
             return f"first premise must be the sign premise 0 <= {r}"
         if concl.lhs.body != p.lhs or concl.rhs.body != p.rhs:
             return "scaled bodies do not match the second premise"

@@ -240,7 +240,8 @@ def charge_from_doc(doc: Any) -> Charge:
     if not isinstance(doc, dict) or "weights" not in doc:
         raise InputError("charge document needs a 'weights' object")
     weights = {
-        str(k): _frac(v, f"weight of {k}") for k, v in doc["weights"].items()
+        str(k): _frac(v, f"weight of {k}")
+        for k, v in _expect(doc["weights"], dict, "charge weights").items()
     }
     return Charge(tuple(weights.keys()), weights)
 
@@ -263,7 +264,7 @@ def theory_from_doc(doc: Any, sig: Signature) -> Theory:
     if isinstance(doc, list):  # bare list of condition strings
         items = doc
     elif isinstance(doc, dict) and "conditions" in doc:
-        items = doc["conditions"]
+        items = _expect(doc["conditions"], list, "theory conditions")
     else:
         raise InputError("theory document needs a 'conditions' list")
     conds: list[Condition] = []
@@ -282,8 +283,10 @@ def load_theory(path: str | Path, sig: Signature) -> Theory:
 def basis_from_doc(doc: Any, sig: Signature) -> tuple[tuple[str, ...], list[Formula]]:
     """Returns (variables, formulas); norms are computed later from a family."""
     if isinstance(doc, dict) and "formulas" in doc:
-        variables = tuple(str(v) for v in doc.get("variables", []))
-        texts = doc["formulas"]
+        variables = tuple(
+            str(v) for v in _expect(doc.get("variables", []), list, "basis variables")
+        )
+        texts = _expect(doc["formulas"], list, "basis formulas")
     elif isinstance(doc, list):
         variables = ()
         texts = doc
@@ -315,9 +318,12 @@ def proof_from_doc(doc: Any, sig: Signature) -> ProofNode:
         raise InputError(
             "proof nodes carry a single <= condition; encode an equality as two nodes"
         )
-    premises = tuple(proof_from_doc(p, sig) for p in doc.get("premises", []))
+    premises = tuple(
+        proof_from_doc(p, sig) for p in _expect(doc.get("premises", []), list, "proof premises")
+    )
     inst = {
-        str(k): parse_term(str(v), sig) for k, v in (doc.get("inst") or {}).items()
+        str(k): parse_term(str(v), sig)
+        for k, v in _expect(doc.get("inst") or {}, dict, "proof inst").items()
     }
     return ProofNode(concl_list[0], str(doc["by"]), premises, inst)
 
@@ -337,10 +343,3 @@ def proof_to_doc(node: ProofNode, top: bool = True) -> dict:
 
 def load_proof(path: str | Path, sig: Signature) -> ProofNode:
     return proof_from_doc(_load_json(path), sig)
-
-
-# -- small helpers shared by the CLI ---------------------------------------
-
-
-def fraction_str(x: Fraction) -> str:
-    return format_fraction(x)

@@ -529,6 +529,38 @@ def test_a_malformed_structure_document_is_an_input_error(edit, field, tmp_path,
         assert field in err["message"]
 
 
+_PROOF = {"format_version": 1, "concl": "0*1 <= 1", "by": "A3"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("mean", {"format_version": 1, "weights": 5}, "charge weights"),
+        ("mean", {"format_version": 1, "weights": [1]}, "charge weights"),
+        ("sat", {"format_version": 1, "conditions": 5}, "theory conditions"),
+        ("types", {"format_version": 1, "formulas": 5}, "basis formulas"),
+        ("types", {"format_version": 1, "formulas": ["1"], "variables": 5}, "basis variables"),
+        ("check-proof", {**_PROOF, "premises": 5}, "proof premises"),
+        ("check-proof", {**_PROOF, "inst": 5}, "proof inst"),
+    ],
+)
+def test_a_malformed_document_is_an_input_error(command, doc, field, workdir, capsys):
+    """Charge, theory, basis and proof documents of the wrong shape exit 2."""
+    bad, member = str(workdir / "bad.json"), str(workdir / "M1.json")
+    dump_json(doc, bad)
+    dump_json({"format_version": 1, "conditions": []}, workdir / "empty.json")
+    argv = {
+        "mean": ["mean", bad, member, member],
+        "sat": ["sat", bad, member],
+        "types": ["types", bad, member],
+        "check-proof": ["check-proof", bad, str(workdir / "empty.json")],
+    }[command]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InputError"
+    assert field in err["message"]
+
+
 class TestInternalError:
     def test_runtime_error_exits_3_with_json_error(self, workdir, monkeypatch, capsys):
         def broken(args, run):

@@ -17,6 +17,7 @@ from affinelogic.pra import (
     format_pra,
     make_pra,
     oracle_eval,
+    pra_scale,
     pra_signature,
     qe,
     structure_from_algebra,
@@ -203,6 +204,14 @@ def _rand_coeff(rng):
     return Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
 
 
+def _walk_eliminate(phi, y, pick=max):
+    """walk_eliminate_sup, with the infimum computed as -sup_y(-phi)."""
+    if pick is max:
+        return walk_eliminate_sup(phi, y)
+    neg = Fraction(-1)
+    return pra_scale(neg, walk_eliminate_sup(pra_scale(neg, phi), y))
+
+
 @DIFFERENTIAL
 @given(SEEDS)
 def test_eliminate_sup_matches_walker(seed):
@@ -216,6 +225,7 @@ def test_eliminate_sup_matches_walker(seed):
     phi = make_pra(_rand_coeff(rng), atoms)
     y = rng.choice(names + ["q"])  # q never occurs in phi
     assert eliminate_sup(phi, y) == walk_eliminate_sup(phi, y)
+    assert eliminate_sup(phi, y, min) == _walk_eliminate(phi, y, min)
 
 
 def _rand_nested(rng, names, depth):
@@ -238,7 +248,7 @@ def test_qe_output_matches_walker_elimination(seed):
     rng = random.Random(seed)
     names = ["x", "y", "z", "u"][: rng.randint(1, 4)]
     phi = formula(_rand_nested(rng, names, 4))
-    with mock.patch.object(pra, "eliminate_sup", walk_eliminate_sup):
+    with mock.patch.object(pra, "eliminate_sup", _walk_eliminate):
         want = format_pra(qe(phi))
     assert format_pra(qe(phi)) == want
 

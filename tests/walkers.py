@@ -21,6 +21,10 @@ positive conjunctions atom by atom by inclusion-exclusion
 transforms instead and shares only the event and formula types with it.
 `split_on` and `event_depends_positively` are the older refinement step,
 kept for its tests.
+`walk_check_axiom` checks an axiom instance with one hand-written
+`isinstance` chain per axiom; `proofs._check_axiom` matches the pattern trees
+of the axiom catalog instead, and shares only the hand-written A12, A20, A21
+and A22 cases with it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ from affinelogic.structures import (
     make_structure,
 )
 from affinelogic.syntax import (
+    App,
+    Condition,
     Const,
     Dist,
     Formula,
@@ -70,6 +76,9 @@ from affinelogic.syntax import (
     Sup,
     Term,
     Var,
+    ZERO,
+    substitute,
+    substitution_correct,
 )
 from affinelogic.ultramean import DEFAULT_TUPLE_CAP, Charge, MeanStructure
 
@@ -757,3 +766,305 @@ def walk_eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
         if best != 0:
             atoms.append((best, _reduce(tuple(sorted(xvars)), frozenset({mx}))))
     return canonicalize(make_pra(phi.constant, atoms))
+
+
+def _numeral(phi: Formula) -> Fraction | None:
+    """The rational r if phi is the numeral r*1, else None."""
+    if isinstance(phi, Scale) and isinstance(phi.body, One):
+        return phi.coeff
+    return None
+
+
+def _dist_chain(phi: Formula) -> list[Dist] | None:
+    """Decompose a left-associated sum of distance atoms."""
+    if isinstance(phi, Dist):
+        return [phi]
+    if isinstance(phi, Sum):
+        left = _dist_chain(phi.left)
+        if left is not None and isinstance(phi.right, Dist):
+            return left + [phi.right]
+    return None
+
+
+def _match_a1(lhs, rhs, inst):
+    r = _numeral(rhs)
+    if (
+        r is not None
+        and isinstance(lhs, Sum)
+        and (r1 := _numeral(lhs.left)) is not None
+        and (r2 := _numeral(lhs.right)) is not None
+    ):
+        return None if r1 + r2 == r else f"arithmetic fails: {r1}+{r2} != {r}"
+    return "shape mismatch for r1+r2 = r"
+
+
+def _match_a2(lhs, rhs, inst):
+    r = _numeral(rhs)
+    if (
+        r is not None
+        and isinstance(lhs, Scale)
+        and (r2 := _numeral(lhs.body)) is not None
+    ):
+        return None if lhs.coeff * r2 == r else f"arithmetic fails: {lhs.coeff}*{r2} != {r}"
+    return "shape mismatch for r1*r2 = r"
+
+
+def _match_a4(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Sum)
+        and isinstance(lhs.right, Sum)
+        and isinstance(rhs, Sum)
+        and isinstance(rhs.left, Sum)
+        and lhs.left == rhs.left.left
+        and lhs.right.left == rhs.left.right
+        and lhs.right.right == rhs.right
+    ):
+        return None
+    return "shape mismatch for phi+(psi+theta) = (phi+psi)+theta"
+
+
+def _match_a5(lhs, rhs, inst):
+    if isinstance(lhs, Sum) and isinstance(rhs, Sum):
+        if lhs.left == rhs.right and lhs.right == rhs.left:
+            return None
+    return "shape mismatch for phi+psi = psi+phi"
+
+
+def _match_a6(lhs, rhs, inst):
+    if isinstance(lhs, Sum) and lhs.left == ZERO and lhs.right == rhs:
+        return None
+    return "shape mismatch for 0+phi = phi"
+
+
+def _match_a7(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Scale)
+        and isinstance(lhs.body, Sum)
+        and isinstance(rhs, Sum)
+        and isinstance(rhs.left, Scale)
+        and isinstance(rhs.right, Scale)
+        and rhs.left.coeff == lhs.coeff == rhs.right.coeff
+        and rhs.left.body == lhs.body.left
+        and rhs.right.body == lhs.body.right
+    ):
+        return None
+    return "shape mismatch for r(phi+psi) = r*phi+r*psi"
+
+
+def _match_a8(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Scale)
+        and isinstance(rhs, Sum)
+        and isinstance(rhs.left, Scale)
+        and isinstance(rhs.right, Scale)
+        and rhs.left.body == rhs.right.body == lhs.body
+    ):
+        if rhs.left.coeff + rhs.right.coeff == lhs.coeff:
+            return None
+        return f"arithmetic fails: {rhs.left.coeff}+{rhs.right.coeff} != {lhs.coeff}"
+    return "shape mismatch for (r+s)phi = r*phi+s*phi"
+
+
+def _match_a9(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Scale)
+        and isinstance(lhs.body, Scale)
+        and isinstance(rhs, Scale)
+        and lhs.body.body == rhs.body
+    ):
+        if lhs.coeff * lhs.body.coeff == rhs.coeff:
+            return None
+        return f"arithmetic fails: {lhs.coeff}*{lhs.body.coeff} != {rhs.coeff}"
+    return "shape mismatch for r(s*phi) = (rs)phi"
+
+
+def _match_a10(lhs, rhs, inst):
+    if isinstance(lhs, Scale) and lhs.coeff == 1 and lhs.body == rhs:
+        return None
+    return "shape mismatch for 1*phi = phi"
+
+
+def _match_a11(lhs, rhs, inst):
+    if isinstance(lhs, Scale) and lhs.coeff == 0 and rhs == ZERO:
+        return None
+    return "shape mismatch for 0*phi = 0"
+
+
+def _match_a13(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Sup)
+        and isinstance(lhs.body, Sum)
+        and isinstance(rhs, Sum)
+        and isinstance(rhs.left, Sup)
+        and rhs.left.varname == lhs.varname
+        and rhs.left.body == lhs.body.left
+        and rhs.right == lhs.body.right
+    ):
+        if lhs.varname in rhs.right.free:
+            return f"side condition fails: {lhs.varname} is free in the residue"
+        return None
+    return "shape mismatch for sup_x(phi+psi) = (sup_x phi)+psi"
+
+
+def _match_a15(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Sup)
+        and isinstance(lhs.body, Scale)
+        and isinstance(rhs, Scale)
+        and isinstance(rhs.body, Sup)
+        and rhs.body.varname == lhs.varname
+        and rhs.coeff == lhs.body.coeff
+        and rhs.body.body == lhs.body.body
+    ):
+        if rhs.coeff < 0:
+            return f"side condition fails: r = {rhs.coeff} < 0"
+        return None
+    return "shape mismatch for sup_x(r*phi) = r*sup_x phi"
+
+
+def _match_a16(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Sup)
+        and isinstance(rhs, Scale)
+        and rhs.coeff == -1
+        and isinstance(rhs.body, Inf)
+        and rhs.body.varname == lhs.varname
+        and isinstance(rhs.body.body, Scale)
+        and rhs.body.body.coeff == -1
+        and rhs.body.body.body == lhs.body
+    ):
+        return None
+    return "shape mismatch for sup_x phi = -inf_x -phi"
+
+
+def _match_a17(lhs, rhs, inst):
+    if isinstance(lhs, Dist) and lhs.left == lhs.right and rhs == ZERO:
+        return None
+    return "shape mismatch for d(t,t) = 0"
+
+
+def _match_a18(lhs, rhs, inst):
+    if (
+        isinstance(lhs, Dist)
+        and isinstance(rhs, Dist)
+        and lhs.left == rhs.right
+        and lhs.right == rhs.left
+    ):
+        return None
+    return "shape mismatch for d(t1,t2) = d(t2,t1)"
+
+
+# Every one of these is an equality axiom: either orientation is an instance.
+_EQUALITY_MATCHERS = {
+    "A1": _match_a1,
+    "A2": _match_a2,
+    "A4": _match_a4,
+    "A5": _match_a5,
+    "A6": _match_a6,
+    "A7": _match_a7,
+    "A8": _match_a8,
+    "A9": _match_a9,
+    "A10": _match_a10,
+    "A11": _match_a11,
+    "A13": _match_a13,
+    "A15": _match_a15,
+    "A16": _match_a16,
+    "A17": _match_a17,
+    "A18": _match_a18,
+}
+
+
+def walk_check_axiom(tag: str, concl: Condition, inst: dict[str, Term]) -> str | None:
+    """The reason the conclusion is no instance of axiom `tag`, or None."""
+    lhs, rhs = concl.lhs, concl.rhs
+    if tag in _EQUALITY_MATCHERS:
+        m = _EQUALITY_MATCHERS[tag]
+        err = m(lhs, rhs, inst)
+        if err is None or m(rhs, lhs, inst) is None:
+            return None
+        return err
+    if tag == "A3":
+        r, s = _numeral(lhs), _numeral(rhs)
+        if r is None or s is None:
+            return "shape mismatch for r <= s"
+        return None if r <= s else f"arithmetic fails: {r} > {s}"
+    if tag == "A12":
+        if not isinstance(rhs, Sup):
+            return "right side must be sup_x phi"
+        t = inst.get("t")
+        if t is None:
+            return "missing metavariable t (the substituted term)"
+        if not substitution_correct(rhs.body, rhs.varname, t):
+            return f"substitution of {t} for {rhs.varname} is not correct (capture)"
+        expected = substitute(rhs.body, rhs.varname, t)
+        if lhs == expected:
+            return None
+        return "left side is not phi[t/x]"
+    if tag == "A14":
+        if (
+            isinstance(lhs, Sup)
+            and isinstance(lhs.body, Sum)
+            and isinstance(rhs, Sum)
+            and isinstance(rhs.left, Sup)
+            and isinstance(rhs.right, Sup)
+            and rhs.left.varname == rhs.right.varname == lhs.varname
+            and rhs.left.body == lhs.body.left
+            and rhs.right.body == lhs.body.right
+        ):
+            return None
+        return "shape mismatch for sup_x(phi+psi) <= sup_x phi + sup_x psi"
+    if tag == "A19":
+        if (
+            isinstance(lhs, Dist)
+            and isinstance(rhs, Sum)
+            and isinstance(rhs.left, Dist)
+            and isinstance(rhs.right, Dist)
+            and rhs.left.left == lhs.left
+            and rhs.left.right == rhs.right.left
+            and rhs.right.right == lhs.right
+        ):
+            return None
+        return "shape mismatch for d(t1,t3) <= d(t1,t2)+d(t2,t3)"
+    if tag == "A20":
+        if not (
+            isinstance(lhs, Dist)
+            and isinstance(lhs.left, App)
+            and isinstance(lhs.right, App)
+            and lhs.left.func == lhs.right.func
+        ):
+            return "left side must be d(F(xs), F(ys))"
+        if not (isinstance(rhs, Scale) and rhs.coeff == lhs.left.func_lipschitz):
+            return f"right side must scale by the Lipschitz constant {lhs.left.func_lipschitz}"
+        chain = _dist_chain(rhs.body)
+        if chain is None or len(chain) != len(lhs.left.args):
+            return "right side must be lambda_F * (sum of coordinate distances)"
+        for dnode, x, y in zip(chain, lhs.left.args, lhs.right.args):
+            if dnode.left != x or dnode.right != y:
+                return "coordinate distances do not match the function arguments"
+        return None
+    if tag == "A21":
+        if not (
+            isinstance(lhs, Sum)
+            and isinstance(lhs.left, Rel)
+            and isinstance(lhs.right, Scale)
+            and lhs.right.coeff == -1
+            and isinstance(lhs.right.body, Rel)
+            and lhs.left.rel == lhs.right.body.rel
+        ):
+            return "left side must be R(xs) - R(ys)"
+        if not (isinstance(rhs, Scale) and rhs.coeff == lhs.left.rel_lipschitz):
+            return f"right side must scale by the Lipschitz constant {lhs.left.rel_lipschitz}"
+        chain = _dist_chain(rhs.body)
+        if chain is None or len(chain) != len(lhs.left.args):
+            return "right side must be lambda_R * (sum of coordinate distances)"
+        for dnode, x, y in zip(chain, lhs.left.args, lhs.right.body.args):
+            if dnode.left != x or dnode.right != y:
+                return "coordinate distances do not match the relation arguments"
+        return None
+    if tag == "A22":
+        if isinstance(rhs, (Rel, Dist)) and lhs == ZERO:
+            return None
+        if isinstance(lhs, (Rel, Dist)) and isinstance(rhs, One):
+            return None
+        return "shape mismatch for 0 <= R(xs) <= 1"
+    return f"unknown axiom tag {tag}"
