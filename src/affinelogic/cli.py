@@ -98,14 +98,14 @@ def _load_structures(run: _Run, paths: list[str], sig_path: str | None):
     structures = []
     embedded = None
     for path in paths:
-        run.record_input(path)
         m, sig = load_structure(path)
+        run.record_input(path)
         structures.append(m)
         if embedded is None and sig is not None:
             embedded = sig
     if sig_path:
-        run.record_input(sig_path)
         signature = load_signature(sig_path)
+        run.record_input(sig_path)
     elif embedded is not None:
         signature = embedded
     else:
@@ -129,7 +129,7 @@ def _decimalize(x: Fraction) -> str:
 
 def _cmd_validate(args, run: _Run) -> int:
     (m,), sig = _load_structures(run, [args.structure], args.sig)
-    report = validate(m, sig)
+    report = validate(m, sig, args.p)
     _emit(
         {
             "format_version": FORMAT_VERSION,
@@ -165,8 +165,8 @@ def _cmd_eval(args, run: _Run) -> int:
 
 
 def _cmd_mean(args, run: _Run) -> int:
-    run.record_input(args.charge)
     mu = load_charge(args.charge)
+    run.record_input(args.charge)
     structures, sig = _load_structures(run, args.structures, args.sig)
     mean = ultramean(structures, mu, p=args.p)
     doc = mean_to_doc(mean, sig if args.sig else None)
@@ -196,9 +196,9 @@ def _cmd_mean(args, run: _Run) -> int:
 
 
 def _cmd_sat(args, run: _Run) -> int:
-    run.record_input(args.theory)
     structures, sig = _load_structures(run, args.structures, args.sig)
     theory = load_theory(args.theory, sig)
+    run.record_input(args.theory)
     if args.target:
         target_list = parse_condition_or_equality(args.target, sig)
         if len(target_list) != 1:
@@ -254,8 +254,8 @@ def _emit_unsat(verdict: Unsat, theory: Theory) -> int:
 def _cmd_separate(args, run: _Run) -> int:
     family_a, sig = _family_dir(run, args.family_a, args.sig)
     family_b, _ = _family_dir(run, args.family_b, args.sig)
-    run.record_input(args.basis)
     _, formulas = load_basis(args.basis, sig)
+    run.record_input(args.basis)
     for f in formulas:
         if f.free:
             raise InputError("separation basis formulas must be sentences")
@@ -295,8 +295,8 @@ def _parse_type_vector(text: str, dim: int) -> tuple[Fraction, ...]:
 
 def _cmd_types(args, run: _Run) -> int:
     structures, sig = _load_structures(run, args.structures, args.sig)
-    run.record_input(args.basis)
     variables, formulas = load_basis(args.basis, sig)
+    run.record_input(args.basis)
     basis = make_basis(variables, formulas, structures, args.p)
     poly = type_polytope(structures, basis, args.p)
 
@@ -374,15 +374,15 @@ def _cmd_qe(args, run: _Run) -> int:
 
 
 def _cmd_check_proof(args, run: _Run) -> int:
-    run.record_input(args.proof)
-    run.record_input(args.theory)
     if args.sig:
-        run.record_input(args.sig)
         sig = load_signature(args.sig)
+        run.record_input(args.sig)
     else:
         sig = Signature.metric_only()
     theory_doc = load_theory(args.theory, sig)
+    run.record_input(args.theory)
     proof = load_proof(args.proof, sig)
+    run.record_input(args.proof)
     result = check(proof, list(theory_doc))
     doc = {
         "format_version": FORMAT_VERSION,
@@ -446,8 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=int, default=1, help="evaluation exponent (default 1)")
         return p
 
-    p = add("validate", "check structure invariants against a signature", "--sig", "--p")
+    p = add("validate", "check structure invariants against a signature", "--sig")
     p.add_argument("structure")
+    p.add_argument("--p", type=int, help="Lipschitz exponent (default: the file's metric_power)")
 
     p = add("eval", "evaluate a formula in a structure", "--sig", "--p")
     p.add_argument("structure")

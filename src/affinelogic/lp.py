@@ -203,12 +203,10 @@ def lp_feasible(
     b_ub: Row | None = None,
     A_eq: Sequence[Row] | None = None,
     b_eq: Row | None = None,
-    n_vars: int | None = None,
+    *,
+    n_vars: int,
 ) -> LPResult:
-    """Feasibility check: solve with a zero objective."""
-    if n_vars is None:
-        probe = (A_ub or A_eq or [[]])
-        n_vars = len(probe[0])
+    """Feasibility check over n_vars variables: solve with a zero objective."""
     return solve_lp([Fraction(0)] * n_vars, A_ub, b_ub, A_eq, b_eq)
 
 

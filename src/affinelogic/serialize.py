@@ -27,7 +27,7 @@ from .syntax import (
     parse_formula,
     parse_term,
 )
-from .ultramean import Charge, MeanStructure
+from .ultramean import Charge, MeanStructure, _tuple_id
 
 FORMAT_VERSION = 1
 
@@ -40,6 +40,8 @@ def _load_json(path: str | Path) -> Any:
         raise InputError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply to decode as JSON") from None
 
 
 def dump_json(doc: Any, path: str | Path | None = None) -> str:
@@ -216,7 +218,7 @@ def load_structure(path: str | Path) -> tuple[FiniteStructure, Signature | None]
 def mean_to_doc(mean: MeanStructure, signature: Signature | None = None) -> dict:
     classes: dict[str, list[str]] = {}
     for tup, rep in mean.class_of.items():
-        classes.setdefault(rep, []).append("|".join(tup))
+        classes.setdefault(rep, []).append(_tuple_id(tup))
     provenance = {
         "charge": charge_to_doc(mean.charge),
         "family_size": mean.family_size,

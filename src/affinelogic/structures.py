@@ -123,95 +123,45 @@ def make_structure(
 
 
 # ---------------------------------------------------------------------------
-# Root-sum comparisons for p-th power matrices.
-#
-# leq_root_sum decides  c^(1/p) <= a^(1/p) + b^(1/p)  exactly for nonnegative
-# rationals.  p=1 is direct, p=2 has a quadratic closed form, and larger p is
-# handled through exact rational p-th roots plus interval bisection.
+# Root-sum comparison for q-th power matrices, in integers.
 
 
-def _rational_root(x: Fraction, p: int) -> Fraction | None:
-    """The exact p-th root of x if it is rational, else None."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    num = _iroot(x.numerator, p)
-    den = _iroot(x.denominator, p)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _iroot(n: int, p: int) -> int | None:
-    if n in (0, 1):
+def _iroot(n: int, q: int) -> int:
+    """floor(n^(1/q)) for n >= 0, by integer Newton steps from above."""
+    if n < 2:
         return n
-    try:
-        r = round(n ** (1.0 / p))
-    except OverflowError:
-        r = -1
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**p == n:
-            return cand
-    # float guess can be off (or overflow) for very large n; integer bisection
-    lo, hi = 0, 1
-    while hi**p < n:
-        hi *= 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        m = mid**p
-        if m == n:
-            return mid
-        if m < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    x = 1 << -(-n.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
 
-def _root_bounds(x: Fraction, p: int, steps: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds of x^(1/p) after `steps` bisection rounds."""
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    lo, hi = Fraction(0), max(Fraction(1), x)
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid**p <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def leq_root_sum_int(c: int, a: int, b: int, q: int) -> bool:
+    """Decide c^(1/q) <= a^(1/q) + b^(1/q) for nonnegative integers, exactly.
 
-
-def leq_root_sum(c: Fraction, a: Fraction, b: Fraction, p: int) -> bool:
-    """Decide c^(1/p) <= a^(1/p) + b^(1/p) for nonnegative rationals, exactly."""
-    if min(a, b, c) < 0:
-        raise ValueError("negative entries")
-    if p == 1:
-        return c <= a + b
-    if a == 0:
-        return c <= b
-    if b == 0:
-        return c <= a
-    if p == 2:
-        t = c - a - b
-        return t <= 0 or t * t <= 4 * a * b
-    # Exact shortcut: all three roots rational, or a/b a p-th power.
-    ra, rb, rc = (_rational_root(v, p) for v in (a, b, c))
-    if ra is not None and rb is not None and rc is not None:
-        return rc <= ra + rb
-    s = _rational_root(a / b, p)
-    if s is not None:  # a^(1/p)+b^(1/p) = (s+1) b^(1/p)
-        return c <= (s + 1) ** p * b
-    for steps in (32, 64, 128, 256):
-        alo, ahi = _root_bounds(a, p, steps)
-        blo, bhi = _root_bounds(b, p, steps)
-        clo, chi = _root_bounds(c, p, steps)
-        if chi <= alo + blo:
+    It holds when c <= a + b.  When a b^(q-1) = s^q it reads c b^(q-1) <=
+    (s + b)^q.  Otherwise a^(1/q) / b^(1/q) is irrational, so c^(1/q) is not
+    the sum (Besicovitch 1940), and the floors of 2^k times the three roots
+    separate the sides once k is large enough.
+    """
+    if c <= a + b:
+        return True
+    if a == 0 or b == 0:
+        return False
+    t = a * b ** (q - 1)
+    s = _iroot(t, q)
+    if s**q == t:
+        return c * b ** (q - 1) <= (s + b) ** q
+    k = 32
+    while True:
+        ra, rb, rc = (_iroot(x << q * k, q) for x in (a, b, c))
+        if rc < ra + rb:
             return True
-        if clo > ahi + bhi:
+        if rc > ra + rb + 1:
             return False
-    raise ValidationError(
-        f"undecided root-sum comparison at exponent {p}; entries {a}, {b}, {c}"
-    )
+        k *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +193,23 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
 
     Reports every violated instance: metric axioms (zero diagonal, symmetry,
     triangle inequality, entries in [0,1]), totality of tables, Lipschitz
-    bounds for functions and relations, relation values in [0,1].  With a
-    p-th-power metric the triangle inequality is checked on stored powers,
-    skipping triples that hold a negative entry.
+    bounds for functions and relations, relation values in [0,1].  The
+    triangle inequality is checked on stored powers at the stored exponent
+    q = metric_power, skipping triples that hold a negative entry.
 
     The metric axioms read the stored metric's integer view.  Every pair of
-    argument tuples is compared in integers, one way for every p: with
+    argument tuples is compared in integers at exponent p, by default q: with
     lam = num/den, den^p * d(F xs, F ys)^p <= num^p * sum_i d(x_i, y_i)^p,
     and likewise (R xs - R ys)^p where that is positive.
     """
-    p = m.metric_power if p is None else p
+    q = m.metric_power
+    p = q if p is None else p
+    _check_exponent(p)
     v: list[Violation] = []
     pts = m.points
     n = len(pts)
 
-    stored = m.int_view(m.metric_power)
+    stored = m.int_view(q)
     imat, den = _rows(stored.metric, n), stored.den
     for i in range(n):
         ri = imat[i]
@@ -269,7 +221,7 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                 v.append(Violation("metric-out-of-range", f"d({pts[i]},{pts[j]})", m.metric[i][j]))
             if imat[j][i] != e:
                 v.append(Violation("asymmetric-metric", f"d({pts[i]},{pts[j]})"))
-    if p == 1 or m.metric_power == 1:
+    if q == 1:
         for i in range(n):
             ri = imat[i]
             for j in range(i + 1, n):
@@ -285,18 +237,18 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                             )
                         )
     else:
-        # c^(1/p) <= a^(1/p) + b^(1/p) for c = d(i,j), a = d(i,k), b = d(k,j).
-        # The condition is homogeneous, so it is decided on the integers over
-        # den; it holds when c <= a + b, and at p = 2 exactly when also
-        # (c - a - b)^2 <= 4ab.  Triples with a negative entry are skipped:
-        # the entry is reported above and has no root.
+        # c^(1/q) <= a^(1/q) + b^(1/q) for c = d(i,j), a = d(i,k), b = d(k,j),
+        # decided on the integers over den: the condition is homogeneous.  At
+        # q = 2 it is (c - a - b)^2 <= 4ab once c > a + b, inline because a call
+        # per triple costs time.  A triple with a negative entry is skipped: the
+        # entry is reported above and has no root.
         cols = list(zip(*imat))
         for i in range(n):
             ri = imat[i]
             for j in range(i + 1, n):
                 c = ri[j]
                 triples = zip(itertools.count(), ri, cols[j])
-                if p == 2:
+                if q == 2:
                     bad = [
                         k for k, a, b in triples
                         if c > a + b and a >= 0 and b >= 0 and (c - a - b) ** 2 > 4 * a * b
@@ -304,15 +256,14 @@ def validate(m: FiniteStructure, sig: Signature, p: int | None = None) -> Valida
                 else:
                     bad = [
                         k for k, a, b in triples
-                        if c > a + b and a >= 0 and b >= 0
-                        and not leq_root_sum(m.metric[i][j], m.metric[i][k], m.metric[k][j], p)
+                        if c > a + b and a >= 0 and b >= 0 and not leq_root_sum_int(c, a, b, q)
                     ]
                 for k in bad:
                     v.append(
                         Violation(
                             "triangle-violation",
                             f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})"
-                            f" (compared in {p}-th powers)",
+                            f" (compared in {q}-th powers)",
                         )
                     )
 
@@ -617,6 +568,11 @@ class _Kernel:
         return best
 
 
+def _check_exponent(p: int) -> None:
+    if not (isinstance(p, int) and p >= 1):
+        raise EvalError(f"exponent must be a positive integer, got {p!r}")
+
+
 def _value_ints(
     m: FiniteStructure,
     phi: Formula,
@@ -625,8 +581,7 @@ def _value_ints(
     asg: Assignment | None,
 ) -> tuple[list[int], int]:
     """Cells and denominator of value_table."""
-    if not (isinstance(p, int) and p >= 1):
-        raise EvalError(f"exponent must be a positive integer, got {p!r}")
+    _check_exponent(p)
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise EvalError(f"repeated table variables {list(variables)}")

@@ -8,6 +8,7 @@ import pytest
 
 from affinelogic import cli
 from affinelogic.pra import MAX_ELIMINATION_VARS, algebra, pra_signature, structure_from_algebra
+from affinelogic.proofs import axiom, rule
 from affinelogic.serialize import (
     charge_to_doc,
     dump_json,
@@ -16,7 +17,7 @@ from affinelogic.serialize import (
 )
 from affinelogic.spaces import interval, two_point
 from affinelogic.structures import make_structure
-from affinelogic.syntax import function_symbol, relation_symbol, Signature
+from affinelogic.syntax import Condition, Signature, function_symbol, numeral, relation_symbol
 from affinelogic.ultramean import charge, uniform_charge
 
 from proof_helpers import zero_scalar_derivation
@@ -461,6 +462,75 @@ class TestValidateCommand:
         ]
 
 
+    def _validate(self, capsys, *argv):
+        code = cli.main(["validate", *argv])
+        out, err = capsys.readouterr()
+        return code, json.loads(out or err)
+
+    def test_stored_cubes_over_264_bits_are_decided(self, tmp_path, capsys):
+        """Cubes over the denominator 2^264: d(x,y)^(1/3) is below d(x,z)^(1/3) +
+        d(z,y)^(1/3) by about 2^-200 of it, and one more unit in the numerator
+        of d(x,y) breaks the triangle."""
+        big = 2**86
+        a, b = 2 * big**3, big**3
+        lo, hi = 0, 1 << 287  # floor of the cube root of a * 2^600, by bisection
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**3 <= a << 600 else (lo, mid)
+        c = (lo + (big << 200)) ** 3 >> 600
+        for entry, violations in ((c, 0), (c + 1, 1)):
+            metric = {("x", "z"): Fraction(1, 32), ("z", "y"): Fraction(1, 64),
+                      ("x", "y"): Fraction(entry, 64 * big**3)}
+            m = make_structure(["x", "y", "z"], metric, metric_power=3)
+            dump_json(structure_to_doc(m), tmp_path / "cubes.json")
+            code, doc = self._validate(capsys, str(tmp_path / "cubes.json"))
+            assert code == min(violations, 1), doc
+            assert [v["kind"] for v in doc["violations"]] == ["triangle-violation"] * violations
+
+    def test_p_is_the_lipschitz_exponent(self, tmp_path, capsys):
+        """F(x,y) = min(x+y, 1) on {0, 1/2, 1} is 1-Lipschitz for the sum of
+        distances, but not at p = 2: d(F(t0,t0), F(t1,t1))^2 = 1 > 1/4 + 1/4."""
+        sig = Signature([function_symbol("F", 2, 1)])
+        line = interval(3)
+        at = {name: Fraction(i, 2) for i, name in enumerate(line.points)}
+        point = {v: name for name, v in at.items()}
+        table = {(x, y): point[min(at[x] + at[y], 1)] for x in line.points for y in line.points}
+        m = make_structure(line.points, line.metric, functions={"F": table})
+        path = str(tmp_path / "line.json")
+        dump_json(structure_to_doc(m, sig), path)
+        assert self._validate(capsys, path)[0] == 0
+        code, doc = self._validate(capsys, path, "--p", "2")
+        assert code == 1
+        assert [(v["kind"], v["where"]) for v in doc["violations"]] == [
+            ("function-lipschitz", "d(F('t0', 't0'),F('t1', 't1')) > 1*d(('t0', 't0'),('t1', 't1'))"),
+            ("function-lipschitz", "d(F('t1', 't1'),F('t0', 't0')) > 1*d(('t1', 't1'),('t0', 't0'))"),
+        ]
+        code, doc = self._validate(capsys, path, "--p", "0")
+        assert code == 2
+        assert doc["error"]["type"] == "EvalError"
+
+
+class TestMissingInput:
+    """A missing input file is an input error, with or without a manifest."""
+
+    @pytest.mark.parametrize("manifest", [False, True])
+    @pytest.mark.parametrize("command", ["validate", "mean", "check-proof"])
+    def test_missing_file_exits_2(self, command, manifest, workdir, capsys):
+        missing = str(workdir / "nope.json")
+        dump_json({"format_version": 1, "conditions": []}, workdir / "empty.json")
+        argv = {
+            "validate": ["validate", missing],
+            "mean": ["mean", missing, str(workdir / "M1.json")],
+            "check-proof": ["check-proof", str(workdir / "empty.json"), missing],
+        }[command]
+        if manifest:
+            argv = ["--manifest", str(workdir / "run.json"), *argv]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "InputError", "message": f"no such file: {missing}"}
+        assert not (workdir / "run.json").exists()
+
+
 class TestDeepInput:
     FORMULA = " + ".join(["d(x,y)"] * 1000)
 
@@ -478,6 +548,29 @@ class TestDeepInput:
 
     def test_deep_formula_exits_2_with_json_error_on_qe(self):
         self._assert_parse_error(run("qe", self.FORMULA))
+
+    def test_deep_document_exits_2_and_names_the_file(self, workdir, capsys):
+        """3,000 R2 nodes nest 6,000 JSON levels, past the decoder's recursion limit."""
+        node = '{"concl": "0 <= 1", "by": "R2", "premises": ['
+        leaf = '{"concl": "0 <= 1", "by": "A3"}'
+        proof = workdir / "deep.json"
+        proof.write_text(node * 3000 + leaf + "]}" * 3000)
+        dump_json({"format_version": 1, "conditions": []}, workdir / "empty.json")
+        assert cli.main(["check-proof", str(proof), str(workdir / "empty.json")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "InputError"
+        assert str(proof) in err["message"]
+
+    def test_300_level_proof_checks(self, workdir, capsys):
+        """An R1 chain 0 <= 1 <= ... <= 300 of A3 steps, each nesting the last."""
+        out = axiom(Condition(numeral(0), numeral(1)), "A3")
+        for k in range(1, 300):
+            step = axiom(Condition(numeral(k), numeral(k + 1)), "A3")
+            out = rule(Condition(numeral(0), numeral(k + 1)), "R1", out, step)
+        (workdir / "chain.json").write_text(json.dumps(proof_to_doc(out)))
+        dump_json({"format_version": 1, "conditions": []}, workdir / "empty.json")
+        assert cli.main(["check-proof", str(workdir / "chain.json"), str(workdir / "empty.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 def _set(path, value):

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from affinelogic.structures import (
     check_condition,
     eval_formula,
     holds_universally,
-    leq_root_sum,
+    leq_root_sum_int,
     make_structure,
     quotient,
     rendezvous_value,
@@ -24,13 +25,14 @@ from affinelogic.structures import (
 from affinelogic.syntax import (
     Signature,
     function_symbol,
+    over_common_denominator,
     parse_condition,
     parse_formula,
     relation_symbol,
 )
 
 from helpers import rand_affine_formula, rand_signature, rand_structure
-from walkers import walk_quotient, walk_validate
+from walkers import leq_root_sum, walk_quotient, walk_validate
 
 METRIC_ONLY = Signature.metric_only()
 
@@ -117,6 +119,13 @@ class TestValidate:
         report = validate(m, METRIC_ONLY)
         assert len(report.violations) == violations
         assert report.violations == walk_validate(m, METRIC_ONLY).violations
+
+    def test_stored_squares_keep_their_triangle_at_any_lipschitz_exponent(self):
+        """The line {0, 1/2, 1} as stored squares 1/4, 1/4, 1: the triangle is
+        read at metric_power 2, whatever exponent the Lipschitz checks use."""
+        m = self._stored_powers(2, Fraction(1, 4), Fraction(1, 4), Fraction(1))
+        assert validate(m, Signature(), p=1).violations == []
+        assert walk_validate(m, Signature(), p=1).violations == []
 
     def test_missing_interpretation(self):
         sig = Signature([relation_symbol("R", 1, 1)])
@@ -417,27 +426,41 @@ class TestSpaces:
         assert max(max(row) for row in m.metric) == 1
 
 
+def _on_integers(c, a, b, q):
+    """leq_root_sum_int on rationals, over their common denominator: the
+    comparison is homogeneous."""
+    (ci, ai, bi), _ = over_common_denominator([c, a, b])
+    return leq_root_sum_int(ci, ai, bi, q)
+
+
+ROOT_SUMS = (leq_root_sum, _on_integers)  # the Fraction reference and validate's routine
+
+
 class TestRootSumComparison:
     def test_p1(self):
-        assert leq_root_sum(Fraction(2), Fraction(1), Fraction(1), 1)
-        assert not leq_root_sum(Fraction(3), Fraction(1), Fraction(1), 1)
+        for leq in ROOT_SUMS:
+            assert leq(Fraction(2), Fraction(1), Fraction(1), 1)
+            assert not leq(Fraction(3), Fraction(1), Fraction(1), 1)
 
     def test_p2_exact(self):
         # sqrt(2) <= sqrt(1) + sqrt(1); sqrt(5) > sqrt(1) + sqrt(1)
-        assert leq_root_sum(Fraction(2), Fraction(1), Fraction(1), 2)
-        assert leq_root_sum(Fraction(4), Fraction(1), Fraction(1), 2)  # equality
-        assert not leq_root_sum(Fraction(5), Fraction(1), Fraction(1), 2)
+        for leq in ROOT_SUMS:
+            assert leq(Fraction(2), Fraction(1), Fraction(1), 2)
+            assert leq(Fraction(4), Fraction(1), Fraction(1), 2)  # equality
+            assert not leq(Fraction(5), Fraction(1), Fraction(1), 2)
 
     def test_p3_rational_shortcuts(self):
         # cbrt(8a) = cbrt(a) + cbrt(a)
-        assert leq_root_sum(Fraction(8), Fraction(1), Fraction(1), 3)
-        assert not leq_root_sum(Fraction(9), Fraction(1), Fraction(1), 3)
-        assert leq_root_sum(Fraction(16), Fraction(2), Fraction(2), 3)  # 2*cbrt(2) = cbrt(16)
+        for leq in ROOT_SUMS:
+            assert leq(Fraction(8), Fraction(1), Fraction(1), 3)
+            assert not leq(Fraction(9), Fraction(1), Fraction(1), 3)
+            assert leq(Fraction(16), Fraction(2), Fraction(2), 3)  # 2*cbrt(2) = cbrt(16)
 
     def test_p3_bisection(self):
         # cbrt(3) <= cbrt(1)+cbrt(1) = 2; cbrt(12) > cbrt(2)+cbrt(1)
-        assert leq_root_sum(Fraction(3), Fraction(1), Fraction(1), 3)
-        assert not leq_root_sum(Fraction(12), Fraction(2), Fraction(1), 3)
+        for leq in ROOT_SUMS:
+            assert leq(Fraction(3), Fraction(1), Fraction(1), 3)
+            assert not leq(Fraction(12), Fraction(2), Fraction(1), 3)
 
     def test_brute_force_agreement_p2(self):
         rng = random.Random(3)
@@ -447,4 +470,34 @@ class TestRootSumComparison:
             c = Fraction(rng.randint(0, 16), 16)
             float_gap = float(c) ** 0.5 - float(a) ** 0.5 - float(b) ** 0.5
             if abs(float_gap) > 1e-9:
-                assert leq_root_sum(c, a, b, 2) == (float_gap < 0)
+                for leq in ROOT_SUMS:
+                    assert leq(c, a, b, 2) == (float_gap < 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.sampled_from(["random", "near", "power-ratio"]))
+    def test_integer_routine_matches_the_reference(self, seed, q, kind):
+        """Entries up to 2^40.  "random" draws them of every bit length.
+        "near" puts c within 2 of floor((a^(1/q) + b^(1/q))^q), taken from
+        60-digit decimals, on a and b of up to 40 bits, where the roots' floors
+        at k = 32 are often too close to tell.  "power-ratio" takes a = r^q t
+        and b = s^q t, so that c = (r + s)^q t is at equality, and c +- 1 just
+        above or below it."""
+        rng = random.Random(seed)
+
+        def entry(bits):
+            return rng.getrandbits(rng.randint(0, bits))
+
+        if kind == "power-ratio":
+            bits = (38 - q) // q  # (2 r)^q * 4 <= 2^40
+            r, s, t = entry(bits), entry(bits), rng.randint(1, 4)
+            a, b = r**q * t, s**q * t
+            c = (r + s) ** q * t + rng.randint(-1, 1)
+        elif kind == "random":
+            a, b, c = entry(40), entry(40), entry(40)
+        else:
+            a, b = rng.randint(0, 2**40), rng.randint(0, 2**40)
+            with decimal.localcontext(prec=60):
+                root = sum(decimal.Decimal(x) ** (decimal.Decimal(1) / q) for x in (a, b))
+                c = int(root**q) + rng.randint(-2, 2)
+        c = max(c, 0)
+        assert leq_root_sum_int(c, a, b, q) == leq_root_sum(Fraction(c), Fraction(a), Fraction(b), q)

@@ -5,8 +5,10 @@ arithmetic; `walk_oracle` does the same over the events of a finite
 probability algebra, with bitmask events and its own measure.  Both share
 no code with the table kernel.  `walk_validate` checks a structure pair by
 pair in Fractions, with a root-sum comparison per Lipschitz pair at p != 1
-and per triangle on stored powers; it shares only `leq_root_sum` (the
-triangle check on stored powers at p >= 3) with `structures.validate`.
+and per triangle on stored powers at the stored exponent.  Its root sums
+(`leq_root_sum`) take exact rational roots and bisect in Fractions;
+`structures.validate` decides them on integer roots instead, and shares no
+code with it.
 `walk_solve_lp` is the dense Fraction tableau that recomputes the reduced
 costs c_B B^-1 A on every iteration; it shares only `LPResult` and the
 status names with `lp.solve_lp`.  `walk_ultramean` builds a mean entry by
@@ -56,7 +58,6 @@ from affinelogic.structures import (
     FiniteStructure,
     ValidationReport,
     Violation,
-    leq_root_sum,
     make_structure,
 )
 from affinelogic.syntax import (
@@ -224,6 +225,90 @@ def walk_oracle(
     return go(phi)
 
 
+def _rational_root(x: Fraction, p: int) -> Fraction | None:
+    """The exact p-th root of x if it is rational, else None."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    num = _iroot(x.numerator, p)
+    den = _iroot(x.denominator, p)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
+
+
+def _iroot(n: int, p: int) -> int | None:
+    if n in (0, 1):
+        return n
+    try:
+        r = round(n ** (1.0 / p))
+    except OverflowError:
+        r = -1
+    for cand in (r - 1, r, r + 1):
+        if cand >= 0 and cand**p == n:
+            return cand
+    # float guess can be off (or overflow) for very large n; integer bisection
+    lo, hi = 0, 1
+    while hi**p < n:
+        hi *= 2
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        m = mid**p
+        if m == n:
+            return mid
+        if m < n:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def _root_bounds(x: Fraction, p: int, steps: int) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds of x^(1/p) after `steps` bisection rounds."""
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    lo, hi = Fraction(0), max(Fraction(1), x)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if mid**p <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def leq_root_sum(c: Fraction, a: Fraction, b: Fraction, p: int) -> bool:
+    """Decide c^(1/p) <= a^(1/p) + b^(1/p) for nonnegative rationals, exactly."""
+    if min(a, b, c) < 0:
+        raise ValueError("negative entries")
+    if p == 1:
+        return c <= a + b
+    if a == 0:
+        return c <= b
+    if b == 0:
+        return c <= a
+    if p == 2:
+        t = c - a - b
+        return t <= 0 or t * t <= 4 * a * b
+    # Exact shortcut: all three roots rational, or a/b a p-th power.
+    ra, rb, rc = (_rational_root(v, p) for v in (a, b, c))
+    if ra is not None and rb is not None and rc is not None:
+        return rc <= ra + rb
+    s = _rational_root(a / b, p)
+    if s is not None:  # a^(1/p)+b^(1/p) = (s+1) b^(1/p)
+        return c <= (s + 1) ** p * b
+    for steps in (32, 64, 128, 256):
+        alo, ahi = _root_bounds(a, p, steps)
+        blo, bhi = _root_bounds(b, p, steps)
+        clo, chi = _root_bounds(c, p, steps)
+        if chi <= alo + blo:
+            return True
+        if clo > ahi + bhi:
+            return False
+    raise ValidationError(
+        f"undecided root-sum comparison at exponent {p}; entries {a}, {b}, {c}"
+    )
+
+
 def walk_validate(
     m: FiniteStructure, sig: Signature, p: int | None = None
 ) -> ValidationReport:
@@ -249,7 +334,7 @@ def walk_validate(
             if m.metric[j][i] != e:
                 v.append(Violation("asymmetric-metric", f"d({pts[i]},{pts[j]})"))
 
-    if p == 1 or m.metric_power == 1:
+    if m.metric_power == 1:
         d = m.metric
         for i in range(n):
             for j in range(i + 1, n):
@@ -270,12 +355,12 @@ def walk_validate(
                     c, a, b = m.metric[i][j], m.metric[i][k], m.metric[k][j]
                     if min(a, b, c) < 0:  # reported as metric-out-of-range; no root
                         continue
-                    if not leq_root_sum(c, a, b, p):
+                    if not leq_root_sum(c, a, b, m.metric_power):
                         v.append(
                             Violation(
                                 "triangle-violation",
                                 f"d({pts[i]},{pts[j]}) > d({pts[i]},{pts[k]})+d({pts[k]},{pts[j]})"
-                                f" (compared in {p}-th powers)",
+                                f" (compared in {m.metric_power}-th powers)",
                             )
                         )
 
