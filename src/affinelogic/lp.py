@@ -198,18 +198,6 @@ def solve_lp(
     )
 
 
-def lp_feasible(
-    A_ub: Sequence[Row] | None = None,
-    b_ub: Row | None = None,
-    A_eq: Sequence[Row] | None = None,
-    b_eq: Row | None = None,
-    *,
-    n_vars: int,
-) -> LPResult:
-    """Feasibility check over n_vars variables: solve with a zero objective."""
-    return solve_lp([Fraction(0)] * n_vars, A_ub, b_ub, A_eq, b_eq)
-
-
 def check_certificate(
     c: Row,
     A_ub: Sequence[Row] | None,

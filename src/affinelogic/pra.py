@@ -2,9 +2,12 @@
 
 The probability-algebra language has Boolean operations and/or/not/sym (the
 last is symmetric difference), constants zero/one, the measure relation mu,
-and the metric d(x,y) = mu(sym(x,y)).  Every quantifier-free formula is a
-rational constant plus a rational combination of measures of events; events
-are kept in minterm normal form over their minimal supporting variables.
+and the metric d(x,y) = mu(sym(x,y)).  Every quantifier-free formula is kept
+as a rational constant plus a rational combination of measures of positive
+conjunctions mu(x1 and ... and xk), a unique normal form (Rota 1964), from
+the parsed term to the printed result.  An event term is read as its truth
+table over its own n variables, one int of 2^n bits, and a Möbius transform
+over the subset lattice turns the table into conjunction coefficients.
 
 Elimination of sup_y works on the minterms of every variable in scope
 including y: writing the value as
@@ -15,13 +18,12 @@ y = union of the minterms with a+ > a-.  The infimum is the same sum with
 min in place of max.
 
 The coefficients live in one list of 2^n ints over one denominator, n the
-size of the scope.  Positive-conjunction coefficients go to minterm
-coefficients by a zeta transform over the subset lattice and come back by a
-Möbius transform, n * 2^(n-1) integer additions each, so the result is a
-combination of measures of positive conjunctions, a unique normal form.
-Scopes above MAX_ELIMINATION_VARS variables are refused.  A brute-force
-oracle over small finite algebras (quantifiers range over all events)
-adjudicates every rewrite.
+size of the scope.  A zeta transform takes them to minterm coefficients and
+a Möbius transform brings them back, n * 2^(n-1) integer additions each.
+Scopes and events over more than MAX_ELIMINATION_VARS variables are refused.
+A brute-force oracle over small finite algebras (quantifiers range over all
+events) adjudicates every rewrite; it evaluates a result, through
+`as_formula`, with the same table kernel as the input.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAffineError, SignatureError, UniverseCapError, ValidationError
 from .structures import (
@@ -60,8 +62,6 @@ from .syntax import (
     relation_symbol,
 )
 
-BOOLEAN_FUNCTIONS = {"and": 2, "or": 2, "sym": 2, "not": 1}
-
 
 def pra_signature() -> Signature:
     return Signature(
@@ -78,152 +78,26 @@ def pra_signature() -> Signature:
 
 
 # ---------------------------------------------------------------------------
-# Events in minterm normal form
-
-
-@dataclass(frozen=True)
-class EventTerm:
-    """A Boolean event over its minimal supporting variables.
-
-    minterms holds bitmasks over `vars` (bit i set = vars[i] occurs
-    positively); the event is the union of its minterms.  Variables the event
-    does not depend on are projected away, so equal events have equal
-    representations.
-    """
-
-    vars: tuple[str, ...]
-    minterms: frozenset[int]
-
-    @staticmethod
-    def zero() -> "EventTerm":
-        return EventTerm((), frozenset())
-
-    @staticmethod
-    def one() -> "EventTerm":
-        return EventTerm((), frozenset({0}))
-
-    @staticmethod
-    def variable(name: str) -> "EventTerm":
-        return EventTerm((name,), frozenset({1}))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.minterms
-
-    @property
-    def is_one(self) -> bool:
-        return not self.vars and self.minterms
-
-    def lift(self, scope: tuple[str, ...]) -> frozenset[int]:
-        """Minterm masks of this event over a larger variable scope."""
-        pos = {v: i for i, v in enumerate(scope)}
-        own = [pos[v] for v in self.vars]
-        free = [i for i in range(len(scope)) if scope[i] not in self.vars]
-        out = set()
-        for m in self.minterms:
-            base = 0
-            for bit, target in enumerate(own):
-                if m >> bit & 1:
-                    base |= 1 << target
-            for extra in range(1 << len(free)):
-                mask = base
-                for bit, target in enumerate(free):
-                    if extra >> bit & 1:
-                        mask |= 1 << target
-                out.add(mask)
-        return frozenset(out)
-
-
-def _reduce(scope: tuple[str, ...], minterms: frozenset[int]) -> EventTerm:
-    """Project away variables the minterm set does not depend on."""
-    vars_ = list(scope)
-    masks = set(minterms)
-    i = 0
-    while i < len(vars_):
-        bit = 1 << i
-        if all((m ^ bit) in masks for m in masks):
-            masks = {
-                ((m >> (i + 1)) << i) | (m & (bit - 1)) for m in masks if not m & bit
-            }
-            del vars_[i]
-        else:
-            i += 1
-    if not masks:
-        return EventTerm.zero()
-    return EventTerm(tuple(vars_), frozenset(masks))
-
-
-def _common_scope(a: EventTerm, b: EventTerm) -> tuple[str, ...]:
-    return tuple(sorted(set(a.vars) | set(b.vars)))
-
-
-def event_and(a: EventTerm, b: EventTerm) -> EventTerm:
-    scope = _common_scope(a, b)
-    return _reduce(scope, a.lift(scope) & b.lift(scope))
-
-
-def event_or(a: EventTerm, b: EventTerm) -> EventTerm:
-    scope = _common_scope(a, b)
-    return _reduce(scope, a.lift(scope) | b.lift(scope))
-
-
-def event_sym(a: EventTerm, b: EventTerm) -> EventTerm:
-    scope = _common_scope(a, b)
-    return _reduce(scope, a.lift(scope) ^ b.lift(scope))
-
-
-def event_not(a: EventTerm) -> EventTerm:
-    full = frozenset(range(1 << len(a.vars)))
-    return _reduce(a.vars, full - a.minterms)
-
-
-def event_from_term(t: Term) -> EventTerm:
-    if isinstance(t, Var):
-        return EventTerm.variable(t.name)
-    if isinstance(t, Const):
-        if t.name == "zero":
-            return EventTerm.zero()
-        if t.name == "one":
-            return EventTerm.one()
-        raise SignatureError(f"unknown probability-algebra constant {t.name}")
-    if isinstance(t, App):
-        args = [event_from_term(a) for a in t.args]
-        if t.func == "and":
-            return event_and(*args)
-        if t.func == "or":
-            return event_or(*args)
-        if t.func == "sym":
-            return event_sym(*args)
-        if t.func == "not":
-            return event_not(args[0])
-        raise SignatureError(f"unknown probability-algebra function {t.func}")
-    raise TypeError(t)
-
-
-def conjunction_event(names: Sequence[str]) -> EventTerm:
-    """The event  x1 and ... and xn  (the full-ones minterm over its variables)."""
-    vs = tuple(sorted(names))
-    if not vs:
-        return EventTerm.one()
-    return EventTerm(vs, frozenset({(1 << len(vs)) - 1}))
-
-
-# ---------------------------------------------------------------------------
 # Quantifier-free measure combinations
 
 
 @dataclass(frozen=True)
 class PraFormula:
-    """constant + sum of coeff * mu(event); atoms collapsed, zero-free, sorted."""
+    """constant + sum of coeff * mu(x1 and ... and xk).
+
+    Each atom is (coefficient, names): a nonzero coefficient and the sorted,
+    distinct, nonempty names of a positive conjunction.  Atoms are ordered by
+    (len(names), names), so equal formulas are equal values.
+    """
 
     constant: Fraction
-    atoms: tuple[tuple[Fraction, EventTerm], ...]
+    atoms: tuple[tuple[Fraction, tuple[str, ...]], ...]
 
     @property
     def variables(self) -> tuple[str, ...]:
         out: set[str] = set()
-        for _, e in self.atoms:
-            out.update(e.vars)
+        for _, names in self.atoms:
+            out.update(names)
         return tuple(sorted(out))
 
     @property
@@ -232,20 +106,20 @@ class PraFormula:
 
 
 def make_pra(
-    constant: Fraction | int, atoms: Sequence[tuple[Fraction, EventTerm]]
+    constant: Fraction | int, atoms: Iterable[tuple[Fraction, tuple[str, ...]]]
 ) -> PraFormula:
+    """Merge equal conjunctions, fold the empty one into the constant, drop
+    zero coefficients.  Each atom's names must already be sorted and distinct."""
     const = Fraction(constant)
-    merged: dict[EventTerm, Fraction] = {}
-    for coeff, event in atoms:
-        if event.is_zero:
-            continue
-        if event.is_one:
+    merged: dict[tuple[str, ...], Fraction] = {}
+    for coeff, names in atoms:
+        if names:
+            merged[names] = merged.get(names, Fraction(0)) + coeff
+        else:
             const += coeff
-            continue
-        merged[event] = merged.get(event, Fraction(0)) + coeff
     cleaned = sorted(
-        ((c, e) for e, c in merged.items() if c != 0),
-        key=lambda item: (len(item[1].vars), item[1].vars, sorted(item[1].minterms)),
+        ((c, names) for names, c in merged.items() if c != 0),
+        key=lambda item: (len(item[1]), item[1]),
     )
     return PraFormula(const, tuple(cleaned))
 
@@ -255,10 +129,11 @@ def pra_add(a: PraFormula, b: PraFormula) -> PraFormula:
 
 
 def pra_scale(r: Fraction, a: PraFormula) -> PraFormula:
-    return make_pra(r * a.constant, [(r * c, e) for c, e in a.atoms])
+    return make_pra(r * a.constant, [(r * c, names) for c, names in a.atoms])
 
 
 # Largest elimination scope, the x-variables plus y: the vectors hold 2^n ints.
+# It also caps an event's variables, since its truth table has 2^n bits.
 MAX_ELIMINATION_VARS = 16
 
 
@@ -274,18 +149,80 @@ def _subset_transform(f: list[int], n: int, op) -> None:
                 f[m] = op(f[m], f[m ^ bit])
 
 
+def _conjunctions(
+    f: list[int], names: Sequence[str], den: int, constant: Fraction | int
+) -> PraFormula:
+    """constant + the combination whose minterm coefficients over `names`,
+    times den, are f: a Möbius transform gives each conjunction's coefficient."""
+    _subset_transform(f, len(names), operator.sub)
+    atoms = [
+        (Fraction(c, den), tuple(v for i, v in enumerate(names) if s >> i & 1))
+        for s, c in enumerate(f)
+        if c
+    ]
+    return make_pra(constant, atoms)
+
+
+# The binary Boolean operations on truth tables; not(a) is full & ~a.
+_BINARY = {"and": operator.and_, "or": operator.or_, "sym": operator.xor}
+
+
+def _truth_table(t: Term, columns: Mapping[str, int], full: int) -> int:
+    if isinstance(t, Var):
+        return columns[t.name]
+    if isinstance(t, Const):
+        if t.name not in ("zero", "one"):
+            raise SignatureError(f"unknown probability-algebra constant {t.name}")
+        return full if t.name == "one" else 0
+    if isinstance(t, App):
+        args = [_truth_table(a, columns, full) for a in t.args]
+        if t.func == "not":
+            return full & ~args[0]
+        if t.func not in _BINARY:
+            raise SignatureError(f"unknown probability-algebra function {t.func}")
+        return _BINARY[t.func](*args)
+    raise TypeError(t)
+
+
+def event_measure(t: Term) -> PraFormula:
+    """mu(t) as a combination of measures of positive conjunctions.
+
+    Bit m of the truth table is t at the assignment whose true variables are
+    the set bits of m, so variable i's column repeats 2^i zeros then 2^i
+    ones.  Raises UniverseCapError, before building the table, when t has
+    more than MAX_ELIMINATION_VARS variables.
+    """
+    names = sorted(t.free)
+    n = len(names)
+    if n > MAX_ELIMINATION_VARS:
+        raise UniverseCapError(
+            f"the event {t} ranges over {n} variables; the cap is {MAX_ELIMINATION_VARS}"
+        )
+    size = 1 << n
+    full = (1 << size) - 1
+    # Column i repeats a period of 2^(i+1) bits.  full // (2^period - 1) has
+    # a one at the start of every period, as 2^period - 1 divides 2^size - 1,
+    # so its product with one period is the column.
+    columns = {
+        v: full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i, v in enumerate(names)
+    }
+    table = _truth_table(t, columns, full)
+    f = [int(b) for b in reversed(format(table, f"0{size}b"))]
+    return _conjunctions(f, names, 1, 0)
+
+
 def eliminate_sup(phi: PraFormula, y: str, pick=max) -> PraFormula:
     """Exact supremum over all events y of a quantifier-free measure combination
     (the infimum with pick=min).
 
     Works on one vector of 2^n ints over one denominator, where the scope is
-    the other variables plus y (the top bit).  Each atom adds the
-    positive-conjunction coefficients of its event (a Möbius transform over
-    the event's own variables); a zeta transform gives the coefficients of
+    the other variables plus y (the top bit).  Each atom adds its coefficient
+    at its conjunction's mask; a zeta transform gives the coefficients of
     the minterms; each minterm of the other variables keeps the pick of its
     y and not-y coefficient; a Möbius transform returns to positive
-    conjunctions, the canonical form.  Raises UniverseCapError, before
-    allocating, when the scope exceeds MAX_ELIMINATION_VARS variables.
+    conjunctions.  Raises UniverseCapError, before allocating, when the
+    scope exceeds MAX_ELIMINATION_VARS variables.
     """
     xvars = tuple(v for v in phi.variables if v != y)
     n = len(xvars) + 1
@@ -297,28 +234,12 @@ def eliminate_sup(phi: PraFormula, y: str, pick=max) -> PraFormula:
     bit = {v: 1 << i for i, v in enumerate(xvars + (y,))}
     nums, den = over_common_denominator([c for c, _ in phi.atoms])
     f = [0] * (1 << n)
-    for num, (_, event) in zip(nums, phi.atoms):
-        k = len(event.vars)
-        own = [0] * (1 << k)
-        for m in event.minterms:
-            own[m] = 1
-        _subset_transform(own, k, operator.sub)
-        masks = [0]
-        for v in event.vars:
-            masks += [s | bit[v] for s in masks]
-        for s, a in zip(masks, own):
-            if a:
-                f[s] += num * a
+    for num, (_, names) in zip(nums, phi.atoms):
+        f[sum(bit[v] for v in names)] += num
     _subset_transform(f, n, operator.add)  # now the minterm coefficients
     half = 1 << (n - 1)
     h = [pick(g_pos, g_neg) for g_pos, g_neg in zip(f[half:], f[:half])]
-    _subset_transform(h, n - 1, operator.sub)
-    atoms = [
-        (Fraction(c, den), conjunction_event([v for i, v in enumerate(xvars) if s >> i & 1]))
-        for s, c in enumerate(h)
-        if c
-    ]
-    return make_pra(phi.constant, atoms)
+    return _conjunctions(h, xvars, den, phi.constant)
 
 
 def qe(phi: Formula) -> PraFormula:
@@ -332,10 +253,9 @@ def qe(phi: Formula) -> PraFormula:
     if isinstance(phi, Rel):
         if phi.rel != "mu":
             raise SignatureError(f"relation {phi.rel} is not part of the PrA language")
-        return make_pra(0, [(Fraction(1), event_from_term(phi.args[0]))])
+        return event_measure(phi.args[0])
     if isinstance(phi, Dist):
-        event = event_sym(event_from_term(phi.left), event_from_term(phi.right))
-        return make_pra(0, [(Fraction(1), event)])
+        return event_measure(App("sym", (phi.left, phi.right), Fraction(1)))
     if isinstance(phi, Sum):
         return pra_add(qe(phi.left), qe(phi.right))
     if isinstance(phi, Scale):
@@ -345,6 +265,30 @@ def qe(phi: Formula) -> PraFormula:
     if isinstance(phi, Inf):
         return eliminate_sup(qe(phi.body), phi.varname, min)
     raise NotAffineError("min/max are not part of the affine PrA fragment")
+
+
+def _conjunction(names: Sequence[str]) -> Term:
+    """The term and(...and(x1,x2)...,xk), printed as in format_pra."""
+    event: Term = Var(names[0])
+    for name in names[1:]:
+        event = App("and", (event, Var(name)), Fraction(1))
+    return event
+
+
+def as_formula(phi: PraFormula) -> Formula:
+    """phi as a formula of the PrA language, for the oracle.
+
+    Each atom is Scale(coeff, mu(and(...))); the sums form a balanced tree,
+    so the depth grows with the logarithm of the number of atoms.
+    """
+    parts: list[Formula] = [
+        Scale(coeff, Rel("mu", (_conjunction(names),), Fraction(1))) for coeff, names in phi.atoms
+    ]
+    if phi.constant != 0 or not parts:
+        parts.insert(0, Scale(phi.constant, One()))
+    while len(parts) > 1:  # sum neighbours pairwise; an odd last part waits a round
+        parts = [Sum(a, b) for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+    return parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +365,15 @@ def oracle_eval(
 ) -> Fraction:
     """Brute-force value on a finite algebra; quantifiers range over all events.
 
-    A Formula is evaluated in the algebra's structure view (one structure per
-    algebra, kept for later calls); a PraFormula is summed atom by atom.
-    Neither path shares code with quantifier elimination.
+    The formula (a PraFormula through `as_formula`) is evaluated in the
+    algebra's structure view, one structure per algebra kept for later calls.
+    It shares no code with quantifier elimination.
     """
-    scope = dict(asg or {})
     if isinstance(phi, PraFormula):
-        measures = alg.measures
-        total = phi.constant
-        for coeff, event in phi.atoms:
-            mask = 0
-            for m in event.minterms:
-                piece = alg.full
-                for i, v in enumerate(event.vars):
-                    ev = scope.get(v)
-                    if ev is None:
-                        raise ValidationError(f"no event assigned to variable {v}")
-                    piece &= ev if m >> i & 1 else alg.full & ~ev
-                mask |= piece
-            total += coeff * measures[mask]
-        return total
+        phi = as_formula(phi)
     if not phi.affine:
         raise NotAffineError("min/max are not part of the affine PrA fragment")
-    names = {v: _event_point(alg, ev) for v, ev in scope.items()}
+    names = {v: _event_point(alg, ev) for v, ev in (asg or {}).items()}
     return eval_formula(_algebra_structure(alg), phi, names)
 
 
@@ -463,27 +393,6 @@ def oracle_table(phi: Formula, alg: FiniteAlgebra, variables: Sequence[str]) -> 
 # Formatting and the structure view of an algebra
 
 
-def format_event(event: EventTerm) -> str:
-    """Event as a term string; canonical conjunctions come out as nested ands."""
-    if event.is_zero:
-        return "zero"
-    if event.is_one:
-        return "one"
-    parts = []
-    for m in sorted(event.minterms):
-        lits = [
-            v if m >> i & 1 else f"not({v})" for i, v in enumerate(event.vars)
-        ]
-        term = lits[0]
-        for lit in lits[1:]:
-            term = f"and({term},{lit})"
-        parts.append(term)
-    out = parts[0]
-    for part in parts[1:]:
-        out = f"or({out},{part})"
-    return out
-
-
 def format_pra(phi: PraFormula) -> str:
     """Textual form in the shared grammar, e.g. 'mu(x) + -2*mu(and(x,y))'."""
     parts: list[str] = []
@@ -492,8 +401,8 @@ def format_pra(phi: PraFormula) -> str:
             parts.append("1")
         else:
             parts.append(f"{format_fraction(phi.constant)}*1")
-    for coeff, event in phi.atoms:
-        atom = f"mu({format_event(event)})"
+    for coeff, names in phi.atoms:
+        atom = f"mu({_conjunction(names)})"
         parts.append(atom if coeff == 1 else f"{format_fraction(coeff)}*{atom}")
     return " + ".join(parts)
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import EvalError, ValidationError
-from .lp import INFEASIBLE, lp_feasible
+from .lp import INFEASIBLE, solve_lp
 from .structures import FiniteStructure, eval_formula, value_table
-from .syntax import Formula
+from .syntax import Formula, require_affine
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,6 @@ def make_basis(
     p: int = 1,
 ) -> FormulaBasis:
     """Build a basis with norms computed over the declared family (never user-supplied)."""
-    from .syntax import require_affine
-
     if not family:
         raise ValidationError("a basis needs a nonempty declaring family")
     for phi in formulas:
@@ -154,7 +152,7 @@ def in_convex_hull(
     a_eq = [[Fraction(g[k]) for g in generators] for k in range(dim)]
     a_eq.append([Fraction(1)] * n)
     b_eq = [Fraction(v) for v in point] + [Fraction(1)]
-    return lp_feasible(A_eq=a_eq, b_eq=b_eq, n_vars=n).status != INFEASIBLE
+    return solve_lp([Fraction(0)] * n, None, None, a_eq, b_eq).status != INFEASIBLE
 
 
 def type_polytope(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import UniverseCapError, ValidationError
-from .structures import FiniteStructure
+from .structures import FiniteStructure, _check_exponent
 from .syntax import Rational, as_fraction, over_common_denominator
 
 DEFAULT_TUPLE_CAP = 4096
@@ -140,8 +140,10 @@ def ultramean(
     """Mean of a finite family under a charge, with distance-0 tuples collapsed.
 
     The family order matches mu.ids.  Raises UniverseCapError if the product
-    universe would exceed max_tuples.
+    universe would exceed max_tuples, and EvalError unless p is a positive
+    integer.
     """
+    _check_exponent(p)
     if len(family) != len(mu.ids):
         raise ValidationError(
             f"family size {len(family)} != charge index size {len(mu.ids)}"

@@ -112,6 +112,17 @@ class TestMean:
         assert doc["relations"]["P"] == [["a|a", "1/2"]]
         assert doc["provenance"]["charge"]["weights"] == {"i0": "1/2", "i1": "1/2"}
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_an_exponent_below_one_is_refused(self, p, workdir, capsys):
+        line = str(workdir / "interval.json")
+        dump_json(structure_to_doc(interval(2)), line)
+        argv = ["mean", str(workdir / "half_half.json"), line, line, "--p", p]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err == {"type": "EvalError", "message": f"exponent must be a positive integer, got {p}"}
+
     def test_mean_to_stdout_is_a_structure_document(self, workdir):
         r = run(
             "mean",
@@ -300,6 +311,31 @@ class TestQe:
         doc = json.loads(r.stdout)
         assert doc["result"] == " + ".join(f"mu(x{i})" for i in range(n))
         assert doc["oracle"] == {"verified": True, "algebras": 1, "evaluations": 2**n}
+
+    def test_quantifier_free_output_is_canonical(self, capsys):
+        want = "mu(x) + mu(y) + -1*mu(and(x,y))"
+        for formula in ("mu(or(x,y))", want):
+            assert cli.main(["qe", formula]) == 0
+            assert json.loads(capsys.readouterr().out)["result"] == want
+
+    def test_an_event_over_too_many_variables_exits_2(self, capsys):
+        names = [f"x{i}" for i in range(MAX_ELIMINATION_VARS + 1)]
+        event = names[0]
+        for name in names[1:]:
+            event = f"or({event},{name})"
+        assert cli.main(["qe", f"mu({event})"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "UniverseCapError"
+
+    def test_a_result_deeper_than_the_parse_limit_is_checked(self, capsys):
+        """255 atoms: the result is checked without being parsed again."""
+        event = "x1"
+        for i in range(2, 9):
+            event = f"or({event},x{i})"
+        assert cli.main(["qe", f"mu({event})", "--oracle", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"].count("mu(") == 255
+        assert doc["oracle"] == {"verified": True, "algebras": 1, "evaluations": 256}
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_an_oracle_of_no_atoms_is_refused(self, k, capsys):

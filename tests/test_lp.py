@@ -10,7 +10,6 @@ from affinelogic.lp import (
     OPTIMAL,
     UNBOUNDED,
     check_certificate,
-    lp_feasible,
     solve_lp,
 )
 from walkers import walk_solve_lp
@@ -141,7 +140,7 @@ class TestDuality:
 
 class TestFeasible:
     def test_feasible_point_in_simplex(self):
-        res = lp_feasible(A_eq=[[1, 1, 1]], b_eq=[1], n_vars=3)
+        res = solve_lp([0] * 3, None, None, [[1, 1, 1]], [1])
         assert res.status == OPTIMAL
         assert check_certificate([0] * 3, None, None, [[1, 1, 1]], [1], res) == []
 
@@ -149,7 +148,7 @@ class TestFeasible:
         # is (2,0) a convex combination of (0,0) and (1,1)?
         a_eq = [[0, 1], [0, 1], [1, 1]]
         b_eq = [2, 0, 1]
-        res = lp_feasible(A_eq=a_eq, b_eq=b_eq, n_vars=2)
+        res = solve_lp([0] * 2, None, None, a_eq, b_eq)
         assert res.status == INFEASIBLE
         assert check_certificate([0] * 2, None, None, a_eq, b_eq, res) == []
 

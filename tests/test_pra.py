@@ -1,35 +1,44 @@
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from affinelogic import pra
+from affinelogic.errors import SignatureError, UniverseCapError
 from affinelogic.pra import (
-    EventTerm,
+    MAX_ELIMINATION_VARS,
     algebra,
     algebras_up_to,
+    as_formula,
     eliminate_sup,
-    event_from_term,
-    event_not,
+    event_measure,
     format_pra,
     make_pra,
     oracle_eval,
-    pra_scale,
+    oracle_table,
     pra_signature,
     qe,
     structure_from_algebra,
     weight_grid,
 )
 from affinelogic.structures import validate
-from affinelogic.syntax import parse_formula, parse_term
+from affinelogic.syntax import App, Const, Var, parse_formula, parse_term
 from walkers import (
+    EventTerm,
+    _reduce,
+    canonicalize,
     event_depends_positively,
+    event_from_term,
+    event_not,
     expand_inclusion_exclusion,
     split_on,
+    walk_eliminate_inf,
     walk_eliminate_sup,
+    walk_make_pra,
+    walk_pra_value,
+    walk_qe,
 )
 
 SIG = pra_signature()
@@ -47,26 +56,28 @@ def formula(text):
     return parse_formula(text, SIG)
 
 
+def minterms(*pairs, constant=0):
+    """A walker-side minterm formula from (coefficient, event text) pairs."""
+    return walk_make_pra(constant, [(Fraction(c), event(t)) for c, t in pairs])
+
+
 def all_assignments(alg, names):
     for combo in itertools.product(alg.events(), repeat=len(names)):
         yield dict(zip(names, combo))
 
 
+def walk_table(phi, alg, names):
+    """walk_pra_value of a minterm formula at every assignment, in product order."""
+    return [walk_pra_value(phi, alg, asg) for asg in all_assignments(alg, names)]
+
+
 def oracle_equal(a, b, kmax=3, step=4):
-    names = sorted(set(getattr(a, "free", ())) | set(_pra_vars(a)) | set(_pra_vars(b)))
-    for alg in algebras_up_to(kmax, step):
-        for asg in all_assignments(alg, names):
-            if oracle_eval(a, alg, asg) != oracle_eval(b, alg, asg):
-                return False
-    return True
-
-
-def _pra_vars(x):
-    from affinelogic.pra import PraFormula
-
-    if isinstance(x, PraFormula):
-        return x.variables
-    return sorted(x.free)
+    """Two minterm formulas have equal tables on every grid algebra."""
+    names = sorted(set(a.variables) | set(b.variables))
+    return all(
+        walk_table(a, alg, names) == walk_table(b, alg, names)
+        for alg in algebras_up_to(kmax, step)
+    )
 
 
 class TestEvents:
@@ -85,52 +96,75 @@ class TestEvents:
         assert event_not(event("and(x,y)")) == event("or(not(x),not(y))")
 
     def test_canonicalization_is_idempotent(self):
-        from affinelogic.pra import _reduce
-
         for text in ("x", "or(x,y)", "sym(and(x,y),or(y,z))", "not(sym(x,y))"):
             e = event(text)
             assert _reduce(e.vars, e.minterms) == e
             assert len(e.minterms) <= 1 << len(e.vars)
 
 
+class TestEventMeasure:
+    def test_equal_events_have_equal_measures(self):
+        m = lambda text: event_measure(term(text))  # noqa: E731
+        assert m("or(x,y)") == m("or(y,x)") == m("not(and(not(x),not(y)))")
+        assert m("and(x,not(not(y)))") == m("and(y,x)")
+        assert m("sym(x,x)") == make_pra(0, []) == m("zero")
+        assert m("or(x,not(x))") == make_pra(1, []) == m("one")
+        assert m("or(and(x,y),and(x,not(y)))") == m("x") == make_pra(0, [(Fraction(1), ("x",))])
+
+    def test_unknown_symbols_are_signature_errors(self):
+        one = Fraction(1)
+        with pytest.raises(SignatureError, match="unknown probability-algebra constant half"):
+            event_measure(App("and", (Var("x"), Const("half")), one))
+        with pytest.raises(SignatureError, match="unknown probability-algebra function imp"):
+            event_measure(App("imp", (Var("x"), Var("y")), one))
+
+    def test_events_over_too_many_variables_are_refused(self):
+        names = [f"x{i}" for i in range(MAX_ELIMINATION_VARS + 1)]
+        t = Var(names[0])
+        for name in names[1:]:
+            t = App("or", (t, Var(name)), Fraction(1))
+        with pytest.raises(UniverseCapError, match=f"{len(names)} variables"):
+            event_measure(t)
+        conjunction = Var(names[0])
+        for name in names[1:-1]:
+            conjunction = App("and", (conjunction, Var(name)), Fraction(1))
+        assert event_measure(conjunction) == make_pra(0, [(Fraction(1), tuple(sorted(names[:-1])))])
+
+
 class TestExpansion:
     def test_union(self):
         out = expand_inclusion_exclusion(event("or(x,y)"))
-        assert format_pra(out) == "mu(x) + mu(y) + -1*mu(and(x,y))"
+        assert format_pra(canonicalize(out)) == "mu(x) + mu(y) + -1*mu(and(x,y))"
 
     def test_complement(self):
         out = expand_inclusion_exclusion(event("not(x)"))
-        assert format_pra(out) == "1 + -1*mu(x)"
+        assert format_pra(canonicalize(out)) == "1 + -1*mu(x)"
 
     def test_symmetric_difference(self):
         out = expand_inclusion_exclusion(event("sym(x,y)"))
-        assert format_pra(out) == "mu(x) + mu(y) + -2*mu(and(x,y))"
-        # oracle-checked on every 2-atom grid algebra
-        raw = make_pra(0, [(Fraction(1), event("sym(x,y)"))])
-        assert oracle_equal(raw, out, kmax=2)
+        assert format_pra(canonicalize(out)) == "mu(x) + mu(y) + -2*mu(and(x,y))"
+        # checked on every 2-atom grid algebra
+        assert oracle_equal(minterms((1, "sym(x,y)")), out, kmax=2)
 
     def test_expansion_preserves_semantics(self):
-        rng = random.Random(91)
         pool = ["x", "y", "and(x,y)", "or(x,not(y))", "sym(or(x,y),and(y,x))", "not(sym(x,y))"]
         for text in pool:
-            e = event(text)
-            raw = make_pra(0, [(Fraction(1), e)])
-            assert oracle_equal(raw, expand_inclusion_exclusion(e), kmax=3)
+            assert oracle_equal(minterms((1, text)), expand_inclusion_exclusion(event(text)), kmax=3)
 
 
 class TestSplit:
     def test_plain_variable_is_already_split(self):
-        phi = make_pra(0, [(Fraction(1), event("x"))])
+        phi = minterms((1, "x"))
         assert split_on(phi, "y") == phi
 
     def test_split_output_only_mentions_y_positively(self):
-        phi = make_pra(0, [(Fraction(1), event("and(x,not(y))")), (Fraction(2), event("or(x,y)"))])
+        phi = minterms((1, "and(x,not(y))"), (2, "or(x,y)"))
         out = split_on(phi, "y")
         assert all(event_depends_positively(e, "y") for _, e in out.atoms)
         assert oracle_equal(phi, out, kmax=3)
 
     def test_split_is_idempotent(self):
-        phi = make_pra(0, [(Fraction(1), event("and(x,not(y))"))])
+        phi = minterms((1, "and(x,not(y))"))
         once = split_on(phi, "y")
         assert split_on(once, "y") == once
 
@@ -138,51 +172,38 @@ class TestSplit:
         rng = random.Random(92)
         pool = ["x", "y", "not(x)", "and(x,y)", "or(x,not(y))", "sym(x,y)"]
         for _ in range(25):
-            atoms = [
-                (Fraction(rng.randint(-3, 3)), event(rng.choice(pool)))
-                for _ in range(rng.randint(1, 3))
-            ]
-            phi = make_pra(Fraction(rng.randint(-2, 2)), atoms)
+            pairs = [(rng.randint(-3, 3), rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+            phi = minterms(*pairs, constant=rng.randint(-2, 2))
             out = split_on(phi, "y")
             assert oracle_equal(phi, out, kmax=3)
 
 
 class TestEliminateSup:
     def test_sup_of_conjunction(self):
-        phi = make_pra(0, [(Fraction(1), event("and(x,y)"))])
+        phi = canonicalize(minterms((1, "and(x,y)")))
         assert format_pra(eliminate_sup(phi, "y")) == "mu(x)"
 
     def test_sup_of_difference(self):
-        phi = make_pra(
-            0,
-            [
-                (Fraction(1), event("and(x,y)")),
-                (Fraction(-1), event("and(not(x),y)")),
-            ],
-        )
+        phi = canonicalize(minterms((1, "and(x,y)"), (-1, "and(not(x),y)")))
         assert format_pra(eliminate_sup(phi, "y")) == "mu(x)"
 
     def test_sup_of_mu_y(self):
-        phi = make_pra(0, [(Fraction(1), event("y"))])
+        phi = canonicalize(minterms((1, "y")))
         assert format_pra(eliminate_sup(phi, "y")) == "1"
 
     def test_matches_oracle_on_grid(self):
         rng = random.Random(93)
         pool = ["x", "y", "not(y)", "and(x,y)", "or(x,y)", "sym(x,y)", "and(not(x),y)"]
         for _ in range(20):
-            atoms = [
-                (Fraction(rng.randint(-2, 2)), event(rng.choice(pool)))
-                for _ in range(rng.randint(1, 3))
-            ]
-            phi = make_pra(0, atoms)
+            pairs = [(rng.randint(-2, 2), rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+            phi = canonicalize(minterms(*pairs))
             out = eliminate_sup(phi, "y")
             assert "y" not in out.variables
             for alg in algebras_up_to(3, 4):
-                for asg in all_assignments(alg, ["x"]):
-                    direct = max(
-                        oracle_eval(phi, alg, {**asg, "y": ev}) for ev in alg.events()
-                    )
-                    assert oracle_eval(out, alg, asg) == direct
+                events = len(alg.events())
+                table = oracle_table(as_formula(phi), alg, ["x", "y"])  # y varies fastest
+                direct = [max(table[i : i + events]) for i in range(0, len(table), events)]
+                assert oracle_table(as_formula(out), alg, ["x"]) == direct
 
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -204,14 +225,6 @@ def _rand_coeff(rng):
     return Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
 
 
-def _walk_eliminate(phi, y, pick=max):
-    """walk_eliminate_sup, with the infimum computed as -sup_y(-phi)."""
-    if pick is max:
-        return walk_eliminate_sup(phi, y)
-    neg = Fraction(-1)
-    return pra_scale(neg, walk_eliminate_sup(pra_scale(neg, phi), y))
-
-
 @DIFFERENTIAL
 @given(SEEDS)
 def test_eliminate_sup_matches_walker(seed):
@@ -222,10 +235,19 @@ def test_eliminate_sup_matches_walker(seed):
         a, b = _rand_event(rng, names, 2), _rand_event(rng, names, 2)
         c = _rand_coeff(rng)
         atoms += [(c, event(a)), (c, event(b)), (-c, event(f"or({a},{b})")), (-c, event(f"and({a},{b})"))]
-    phi = make_pra(_rand_coeff(rng), atoms)
+    phi = walk_make_pra(_rand_coeff(rng), atoms)
     y = rng.choice(names + ["q"])  # q never occurs in phi
-    assert eliminate_sup(phi, y) == walk_eliminate_sup(phi, y)
-    assert eliminate_sup(phi, y, min) == _walk_eliminate(phi, y, min)
+    assert eliminate_sup(canonicalize(phi), y) == canonicalize(walk_eliminate_sup(phi, y))
+    assert eliminate_sup(canonicalize(phi), y, min) == canonicalize(walk_eliminate_inf(phi, y))
+
+
+@DIFFERENTIAL
+@given(SEEDS)
+def test_event_measure_matches_walker(seed):
+    rng = random.Random(seed)
+    names = ["x", "y", "z", "u", "v", "w"][: rng.randint(1, 6)]
+    text = _rand_event(rng, names, 4)
+    assert event_measure(term(text)) == canonicalize(minterms((1, text)))
 
 
 def _rand_nested(rng, names, depth):
@@ -244,13 +266,25 @@ def _rand_nested(rng, names, depth):
 
 @DIFFERENTIAL
 @given(SEEDS)
-def test_qe_output_matches_walker_elimination(seed):
+def test_qe_matches_walker_qe(seed):
     rng = random.Random(seed)
     names = ["x", "y", "z", "u"][: rng.randint(1, 4)]
     phi = formula(_rand_nested(rng, names, 4))
-    with mock.patch.object(pra, "eliminate_sup", _walk_eliminate):
-        want = format_pra(qe(phi))
-    assert format_pra(qe(phi)) == want
+    assert qe(phi) == canonicalize(walk_qe(phi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_as_formula_table_matches_walker(seed):
+    """The oracle's table of a conjunction-form formula equals the minterm
+    formula's value, cell for cell."""
+    rng = random.Random(seed)
+    names = ["x", "y", "z"][: rng.randint(1, 3)]
+    pairs = [(_rand_coeff(rng), _rand_event(rng, names, 2)) for _ in range(rng.randint(0, 4))]
+    phi = minterms(*pairs, constant=_rand_coeff(rng))
+    check = as_formula(canonicalize(phi))
+    for alg in algebras_up_to(2, 4):
+        assert oracle_table(check, alg, names) == walk_table(phi, alg, names)
 
 
 class TestQE:
@@ -286,11 +320,10 @@ class TestQE:
         rng = random.Random(95)
         for _ in range(60):
             phi = _random_quantified(rng, nvars=3, prefix=2, close=False)
-            out = qe(phi)
+            check = as_formula(qe(phi))
             free = sorted(phi.free)
             for alg in algebras_up_to(3, 4):
-                for asg in all_assignments(alg, free):
-                    assert oracle_eval(phi, alg, asg) == oracle_eval(out, alg, asg)
+                assert oracle_table(phi, alg, free) == oracle_table(check, alg, free)
 
 
 def _random_quantified(rng, nvars=3, prefix=2, close=False):

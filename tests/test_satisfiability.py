@@ -231,7 +231,7 @@ class TestSeparate:
     def test_verdict_matches_exact_hull_intersection(self):
         # independent route: the value-vector hulls intersect iff the LP
         # {combination of A-vectors = combination of B-vectors} is feasible
-        from affinelogic.lp import INFEASIBLE, lp_feasible
+        from affinelogic.lp import INFEASIBLE, solve_lp
         from affinelogic.satisfiability import value_matrix
 
         rng = random.Random(76)
@@ -252,7 +252,7 @@ class TestSeparate:
             a_eq.append([Fraction(1)] * na + [Fraction(0)] * nb)
             a_eq.append([Fraction(0)] * na + [Fraction(1)] * nb)
             b_eq = [Fraction(0)] * k + [Fraction(1), Fraction(1)]
-            hulls_meet = lp_feasible(A_eq=a_eq, b_eq=b_eq, n_vars=na + nb).status != INFEASIBLE
+            hulls_meet = solve_lp([0] * (na + nb), None, None, a_eq, b_eq).status != INFEASIBLE
             verdict = separate(fam_a, fam_b, basis)
             assert isinstance(verdict, NotSeparable) == hulls_meet
             both[hulls_meet] += 1

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from affinelogic.errors import AffineLogicError, UniverseCapError, ValidationError
+from affinelogic.errors import AffineLogicError, EvalError, UniverseCapError, ValidationError
 from affinelogic.serialize import dump_json, mean_to_doc
-from affinelogic.spaces import two_point
+from affinelogic.spaces import interval, two_point
 from affinelogic.structures import eval_formula, make_structure, quotient, validate
 from affinelogic.syntax import (
     Min,
@@ -109,6 +109,12 @@ class TestUltramean:
         mu = uniform_charge(["i0", "i1", "i2"])
         with pytest.raises(UniverseCapError):
             ultramean([m, m, m], mu, max_tuples=100)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_exponent_below_one_is_refused(self, p):
+        m = interval(2)
+        with pytest.raises(EvalError, match=f"exponent must be a positive integer, got {p}"):
+            ultramean([m, m], uniform_charge(["i0", "i1"]), p=p)
 
     def test_ultramean_theorem_exact(self):
         rng = random.Random(24)

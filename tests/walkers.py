@@ -16,13 +16,16 @@ entry as weighted sums of Fractions and collapses it with `walk_quotient`,
 which merges points at distance 0 name by name in Fractions;
 `ultramean.ultramean` shares neither, and `structures.quotient` is the
 ultramean of a one-member family.
-`walk_eliminate_sup` eliminates sup_y on the minterms of every variable in
-scope, keeping one Fraction per minterm, and turns the result back into
-positive conjunctions atom by atom by inclusion-exclusion
-(`canonicalize`); `pra.eliminate_sup` runs integer zeta and Möbius
-transforms instead and shares only the event and formula types with it.
-`split_on` and `event_depends_positively` are the older refinement step,
-kept for its tests.
+`walk_qe` eliminates quantifiers on events in minterm normal form
+(`EventTerm`, a set of minterm masks over the event's own variables):
+`walk_eliminate_sup` keeps one Fraction per minterm of every variable in
+scope, and `walk_pra_value` evaluates a minterm formula on a finite algebra
+atom by atom over bitmask events.  `canonicalize` turns a minterm formula
+into positive conjunctions atom by atom by inclusion-exclusion, in
+`pra.PraFormula`'s representation; `pra.qe` reads events as truth tables
+and runs integer zeta and Möbius transforms instead, and shares only that
+formula type with it.  `split_on` and `event_depends_positively` are the
+older refinement step, kept for its tests.
 `walk_check_axiom` checks an axiom instance with one hand-written
 `isinstance` chain per axiom; `proofs._check_axiom` matches the pattern trees
 of the axiom catalog instead, and shares only the hand-written A12, A20, A21
@@ -32,6 +35,7 @@ and A22 cases with it.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -43,17 +47,7 @@ from affinelogic.errors import (
     ValidationError,
 )
 from affinelogic.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
-from affinelogic.pra import (
-    EventTerm,
-    FiniteAlgebra,
-    PraFormula,
-    _reduce,
-    conjunction_event,
-    event_and,
-    make_pra,
-    pra_add,
-    pra_scale,
-)
+from affinelogic.pra import FiniteAlgebra, PraFormula
 from affinelogic.structures import (
     FiniteStructure,
     ValidationReport,
@@ -758,6 +752,202 @@ def walk_solve_lp(
 
 
 # ---------------------------------------------------------------------------
+# Events in minterm normal form
+
+
+@dataclass(frozen=True)
+class EventTerm:
+    """A Boolean event over its minimal supporting variables.
+
+    minterms holds bitmasks over `vars` (bit i set = vars[i] occurs
+    positively); the event is the union of its minterms.  Variables the event
+    does not depend on are projected away, so equal events have equal
+    representations.
+    """
+
+    vars: tuple[str, ...]
+    minterms: frozenset[int]
+
+    @staticmethod
+    def zero() -> "EventTerm":
+        return EventTerm((), frozenset())
+
+    @staticmethod
+    def one() -> "EventTerm":
+        return EventTerm((), frozenset({0}))
+
+    @staticmethod
+    def variable(name: str) -> "EventTerm":
+        return EventTerm((name,), frozenset({1}))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.minterms
+
+    @property
+    def is_one(self) -> bool:
+        return not self.vars and self.minterms
+
+    def lift(self, scope: tuple[str, ...]) -> frozenset[int]:
+        """Minterm masks of this event over a larger variable scope."""
+        pos = {v: i for i, v in enumerate(scope)}
+        own = [pos[v] for v in self.vars]
+        free = [i for i in range(len(scope)) if scope[i] not in self.vars]
+        out = set()
+        for m in self.minterms:
+            base = 0
+            for bit, target in enumerate(own):
+                if m >> bit & 1:
+                    base |= 1 << target
+            for extra in range(1 << len(free)):
+                mask = base
+                for bit, target in enumerate(free):
+                    if extra >> bit & 1:
+                        mask |= 1 << target
+                out.add(mask)
+        return frozenset(out)
+
+
+def _reduce(scope: tuple[str, ...], minterms: frozenset[int]) -> EventTerm:
+    """Project away variables the minterm set does not depend on."""
+    vars_ = list(scope)
+    masks = set(minterms)
+    i = 0
+    while i < len(vars_):
+        bit = 1 << i
+        if all((m ^ bit) in masks for m in masks):
+            masks = {
+                ((m >> (i + 1)) << i) | (m & (bit - 1)) for m in masks if not m & bit
+            }
+            del vars_[i]
+        else:
+            i += 1
+    if not masks:
+        return EventTerm.zero()
+    return EventTerm(tuple(vars_), frozenset(masks))
+
+
+def _common_scope(a: EventTerm, b: EventTerm) -> tuple[str, ...]:
+    return tuple(sorted(set(a.vars) | set(b.vars)))
+
+
+def event_and(a: EventTerm, b: EventTerm) -> EventTerm:
+    scope = _common_scope(a, b)
+    return _reduce(scope, a.lift(scope) & b.lift(scope))
+
+
+def event_or(a: EventTerm, b: EventTerm) -> EventTerm:
+    scope = _common_scope(a, b)
+    return _reduce(scope, a.lift(scope) | b.lift(scope))
+
+
+def event_sym(a: EventTerm, b: EventTerm) -> EventTerm:
+    scope = _common_scope(a, b)
+    return _reduce(scope, a.lift(scope) ^ b.lift(scope))
+
+
+def event_not(a: EventTerm) -> EventTerm:
+    full = frozenset(range(1 << len(a.vars)))
+    return _reduce(a.vars, full - a.minterms)
+
+
+def event_from_term(t: Term) -> EventTerm:
+    if isinstance(t, Var):
+        return EventTerm.variable(t.name)
+    if isinstance(t, Const):
+        if t.name == "zero":
+            return EventTerm.zero()
+        if t.name == "one":
+            return EventTerm.one()
+        raise SignatureError(f"unknown probability-algebra constant {t.name}")
+    if isinstance(t, App):
+        args = [event_from_term(a) for a in t.args]
+        if t.func == "and":
+            return event_and(*args)
+        if t.func == "or":
+            return event_or(*args)
+        if t.func == "sym":
+            return event_sym(*args)
+        if t.func == "not":
+            return event_not(args[0])
+        raise SignatureError(f"unknown probability-algebra function {t.func}")
+    raise TypeError(t)
+
+
+def conjunction_event(names: Sequence[str]) -> EventTerm:
+    """The event  x1 and ... and xn  (the full-ones minterm over its variables)."""
+    vs = tuple(sorted(names))
+    if not vs:
+        return EventTerm.one()
+    return EventTerm(vs, frozenset({(1 << len(vs)) - 1}))
+
+
+@dataclass(frozen=True)
+class MintermFormula:
+    """constant + sum of coeff * mu(event); atoms collapsed, zero-free, sorted."""
+
+    constant: Fraction
+    atoms: tuple[tuple[Fraction, EventTerm], ...]
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        out: set[str] = set()
+        for _, e in self.atoms:
+            out.update(e.vars)
+        return tuple(sorted(out))
+
+    @property
+    def is_constant(self) -> bool:
+        return not self.atoms
+
+
+def walk_make_pra(
+    constant: Fraction | int, atoms: Sequence[tuple[Fraction, EventTerm]]
+) -> MintermFormula:
+    const = Fraction(constant)
+    merged: dict[EventTerm, Fraction] = {}
+    for coeff, event in atoms:
+        if event.is_zero:
+            continue
+        if event.is_one:
+            const += coeff
+            continue
+        merged[event] = merged.get(event, Fraction(0)) + coeff
+    cleaned = sorted(
+        ((c, e) for e, c in merged.items() if c != 0),
+        key=lambda item: (len(item[1].vars), item[1].vars, sorted(item[1].minterms)),
+    )
+    return MintermFormula(const, tuple(cleaned))
+
+
+def walk_pra_add(a: MintermFormula, b: MintermFormula) -> MintermFormula:
+    return walk_make_pra(a.constant + b.constant, a.atoms + b.atoms)
+
+
+def walk_pra_scale(r: Fraction, a: MintermFormula) -> MintermFormula:
+    return walk_make_pra(r * a.constant, [(r * c, e) for c, e in a.atoms])
+
+
+def walk_pra_value(
+    phi: MintermFormula, alg: FiniteAlgebra, asg: Mapping[str, int]
+) -> Fraction:
+    """Value on a finite algebra, summed atom by atom over bitmask events."""
+    total = phi.constant
+    for coeff, event in phi.atoms:
+        mask = 0
+        for m in event.minterms:
+            piece = alg.full
+            for i, v in enumerate(event.vars):
+                ev = asg.get(v)
+                if ev is None:
+                    raise ValidationError(f"no event assigned to variable {v}")
+                piece &= ev if m >> i & 1 else alg.full & ~ev
+            mask |= piece
+        total += coeff * _measure(alg, mask)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Quantifier elimination on minterms, one Fraction at a time
 
 
@@ -770,7 +960,7 @@ def event_depends_positively(e: EventTerm, y: str) -> bool:
     return all(m & bit for m in e.minterms)
 
 
-def expand_inclusion_exclusion(event: EventTerm) -> PraFormula:
+def expand_inclusion_exclusion(event: EventTerm) -> MintermFormula:
     """Rewrite mu(event) as an integer combination of measures of positive
     conjunctions (inclusion-exclusion over the minterm set), e.g.
     mu(x or y) -> mu(x) + mu(y) - mu(x and y)."""
@@ -784,22 +974,23 @@ def expand_inclusion_exclusion(event: EventTerm) -> PraFormula:
                 key = frozenset(event.vars[i] for i in pos + list(extra))
                 coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction((-1) ** r)
     atoms = [(c, conjunction_event(sorted(k))) for k, c in coeffs.items()]
-    return make_pra(0, atoms)
+    return walk_make_pra(0, atoms)
 
 
-def canonicalize(phi: PraFormula) -> PraFormula:
-    """Unique normal form: every event a positive conjunction.
+def canonicalize(phi: MintermFormula) -> PraFormula:
+    """Unique normal form: every event a positive conjunction, given as the
+    tuple of its names, as `pra` keeps it.
 
     Measures of positive conjunctions are linearly independent functionals on
     finite algebras, so equal formulas get identical canonical forms.
     """
-    out = make_pra(phi.constant, [])
+    out = walk_make_pra(phi.constant, [])
     for coeff, event in phi.atoms:
-        out = pra_add(out, pra_scale(coeff, expand_inclusion_exclusion(event)))
-    return out
+        out = walk_pra_add(out, walk_pra_scale(coeff, expand_inclusion_exclusion(event)))
+    return PraFormula(out.constant, tuple((c, e.vars) for c, e in out.atoms))
 
 
-def split_on(phi: PraFormula, y: str) -> PraFormula:
+def split_on(phi: MintermFormula, y: str) -> MintermFormula:
     """Refine atoms so y occurs positively or not at all in every event.
 
     Each mu(e) with mixed occurrences of y becomes
@@ -822,19 +1013,18 @@ def split_on(phi: PraFormula, y: str) -> PraFormula:
             freed = _reduce(event.vars, neg | {m | bit for m in neg})
             atoms.append((coeff, freed))
             atoms.append((-coeff, event_and(freed, yev)))
-    result = make_pra(phi.constant, atoms)
+    result = walk_make_pra(phi.constant, atoms)
     assert all(event_depends_positively(e, y) for _, e in result.atoms)
     return result
 
 
-def walk_eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
+def walk_eliminate_sup(phi: MintermFormula, y: str) -> MintermFormula:
     """Exact supremum over all events y of a quantifier-free measure combination.
 
     Internally refines all events to pairwise-disjoint minterms over every
     variable in scope including y, then keeps the better of the y / not-y
     coefficient for each minterm of the remaining variables.  The output
-    mentions only the other variables and is returned in canonical
-    (positive-conjunction) form.
+    mentions only the other variables, one atom per minterm.
     """
     xvars = tuple(v for v in phi.variables if v != y)
     scope = tuple(sorted(xvars)) + (y,)
@@ -850,7 +1040,35 @@ def walk_eliminate_sup(phi: PraFormula, y: str) -> PraFormula:
         best = max(a_pos, a_neg)
         if best != 0:
             atoms.append((best, _reduce(tuple(sorted(xvars)), frozenset({mx}))))
-    return canonicalize(make_pra(phi.constant, atoms))
+    return walk_make_pra(phi.constant, atoms)
+
+
+def walk_eliminate_inf(phi: MintermFormula, y: str) -> MintermFormula:
+    """The infimum over y, computed as -sup_y(-phi)."""
+    neg = Fraction(-1)
+    return walk_pra_scale(neg, walk_eliminate_sup(walk_pra_scale(neg, phi), y))
+
+
+def walk_qe(phi: Formula) -> MintermFormula:
+    """Eliminate all quantifiers, innermost first, on minterm events."""
+    if isinstance(phi, One):
+        return walk_make_pra(1, [])
+    if isinstance(phi, Rel):
+        if phi.rel != "mu":
+            raise SignatureError(f"relation {phi.rel} is not part of the PrA language")
+        return walk_make_pra(0, [(Fraction(1), event_from_term(phi.args[0]))])
+    if isinstance(phi, Dist):
+        event = event_sym(event_from_term(phi.left), event_from_term(phi.right))
+        return walk_make_pra(0, [(Fraction(1), event)])
+    if isinstance(phi, Sum):
+        return walk_pra_add(walk_qe(phi.left), walk_qe(phi.right))
+    if isinstance(phi, Scale):
+        return walk_pra_scale(phi.coeff, walk_qe(phi.body))
+    if isinstance(phi, Sup):
+        return walk_eliminate_sup(walk_qe(phi.body), phi.varname)
+    if isinstance(phi, Inf):
+        return walk_eliminate_inf(walk_qe(phi.body), phi.varname)
+    raise NotAffineError("min/max are not part of the affine PrA fragment")
 
 
 def _numeral(phi: Formula) -> Fraction | None:
